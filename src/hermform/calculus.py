@@ -1,21 +1,55 @@
 """Differentials, Hodge star and harmonic spaces on a bigraded model.
 
-The engine carries two fully independent routes to every cohomology
-dimension: kernels of the harmonic (Laplacian-style) systems for a given
-inner product, and quotient dimensions ker/im computed without any inner
+Each theory is one record in THEORY: the operators whose kernels define
+its closed forms and those whose images define its exact forms.  From
+that record the engine derives two independent routes to every
+cohomology dimension: kernels of the harmonic systems for a given inner
+product (themselves built two ways, star-based and adjoint-based, which
+must agree), and quotient dimensions ker/im computed without any inner
 product.  Tests compare the two everywhere.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
-from .linalg import Matrix, Subspace, kernel_basis, solve
+from .linalg import Matrix, kernel_basis, solve
 from .model import Form, ModelError
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, ZERO
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
+
+# Degree shift of each operator; d acts on total degrees.
+SHIFT = {"del": (1, 0), "dbar": (0, 1), "ddbar": (1, 1), "d": (1,)}
+
+Theory = namedtuple("Theory", ["closed", "exact"])
+
+THEORY = {
+    "dolbeault": Theory(closed=("dbar",), exact=("dbar",)),
+    "conj_dolbeault": Theory(closed=("del",), exact=("del",)),
+    "bott_chern": Theory(closed=("del", "dbar"), exact=("ddbar",)),
+    "aeppli": Theory(closed=("ddbar",), exact=("del", "dbar")),
+    "de_rham": Theory(closed=("d",), exact=("d",)),
+}
+
+
+def _theory(name):
+    if name not in THEORY:
+        raise ValueError("unknown theory %r" % name)
+    return THEORY[name]
+
+
+def _source(degree, op):
+    """The degree op maps into `degree` from, or None below zero."""
+    src = tuple(a - b for a, b in zip(degree, SHIFT[op]))
+    return src if min(src) >= 0 else None
+
+
+def _label(degree):
+    return "(%s)" % ",".join(str(a) for a in degree)
 
 
 class AssemblyError(ModelError):
@@ -70,14 +104,20 @@ class InnerProduct:
 
 
 class HarmonicBasis:
-    """Basis of a harmonic space for one theory and bidegree."""
+    """Basis of a harmonic space for one theory and degree.
 
-    __slots__ = ("theory", "bidegree", "forms")
+    `space` is the kernel as a Subspace of the degree's coordinates; the
+    forms are its reduced row echelon basis, so coordinates in `space`
+    are coordinates on `forms`.
+    """
 
-    def __init__(self, theory, bidegree, forms):
+    __slots__ = ("theory", "bidegree", "forms", "space")
+
+    def __init__(self, theory, bidegree, forms, space):
         self.theory = theory
         self.bidegree = bidegree
         self.forms = forms
+        self.space = space
 
     @property
     def dim(self):
@@ -120,9 +160,11 @@ class CohomologyTable:
 class HodgeEngine:
     """Assembled differentials + harmonic-space computations for a model.
 
-    monomial_filter restricts to a subcomplex spanned by a subset of
-    monomials (used for invariant submodels); the restriction is
-    validated at assembly time.
+    A degree is given as (p, q) for a bidegree or as (k,) for a total
+    degree; `basis`, `weights`, `coords`, `matrix`, `adjoint_matrix`,
+    `harmonic_space` and `cohomology_dim` take either.  monomial_filter
+    restricts to a subcomplex spanned by a subset of monomials (used for
+    invariant submodels); the restriction is validated at assembly time.
     """
 
     def __init__(self, spec, inner_product=None, monomial_filter=None):
@@ -139,26 +181,49 @@ class HodgeEngine:
 
     # -- bases ---------------------------------------------------------
 
-    def basis(self, p, q):
-        key = (p, q)
-        if key not in self._basis:
-            monos = self.spec.basis(p, q)
-            if self.filter is not None:
-                monos = [m for m in monos if self.filter(m)]
-            self._basis[key] = monos
-        return self._basis[key]
+    def basis(self, *degree):
+        """Monomials of the degree kept by the filter; a total degree
+        lists its bidegrees (p, k - p) in increasing p."""
+        if degree not in self._basis:
+            if len(degree) == 1:
+                monos = [m for (p, q), _ in self._blocks(degree[0])
+                         for m in self.basis(p, q)]
+            else:
+                monos = self.spec.basis(*degree)
+                if self.filter is not None:
+                    monos = [m for m in monos if self.filter(m)]
+            self._basis[degree] = monos
+        return self._basis[degree]
 
-    def total_basis(self, k):
-        """Monomials of total degree k as (p, q, monomial) triples."""
-        out = []
-        for p in range(0, self.spec.n + 1):
-            q = k - p
-            if 0 <= q <= self.spec.n:
-                out.extend((p, q, m) for m in self.basis(p, q))
+    def _blocks(self, k):
+        """(bidegree, offset) of each bidegree inside total degree k."""
+        out, offset = [], 0
+        for p in range(k + 1):
+            out.append(((p, k - p), offset))
+            offset += len(self.basis(p, k - p))
         return out
 
-    def weights(self, p, q):
-        return [self.ip.weight(m) for m in self.basis(p, q)]
+    def weights(self, *degree):
+        return [self.ip.weight(m) for m in self.basis(*degree)]
+
+    def coords(self, form, *degree):
+        """Coefficient vector of form on the degree's basis."""
+        basis = self.basis(*degree)
+        index = {m: i for i, m in enumerate(basis)}
+        vec = [ZERO] * len(basis)
+        for m, c in form.components.items():
+            if m not in index:
+                raise ModelError("form outside the %s subcomplex basis"
+                                 % _label(degree))
+            vec[index[m]] = c
+        return vec
+
+    def _degree(self, theory, form):
+        """Degree of form in the theory's grading, None unless homogeneous."""
+        degrees = {self.spec.monomial_bidegree(m) for m in form.components}
+        if len(SHIFT[_theory(theory).closed[0]]) == 1:  # total degree
+            degrees = {(p + q,) for p, q in degrees}
+        return degrees.pop() if len(degrees) == 1 else None
 
     # -- matrices ------------------------------------------------------
 
@@ -167,50 +232,66 @@ class HodgeEngine:
                        else self.spec.dbar_assignments)
         return apply_derivation(self.spec, assignments, form)
 
-    def matrix(self, which, p, q):
-        """Matrix of del/dbar from (p, q) into the shifted bidegree."""
-        key = (which, p, q)
+    def matrix(self, op, *degree):
+        """Matrix of op (a SHIFT key) from degree into degree + shift."""
+        key = (op,) + degree
         if key not in self._matrix:
-            dp, dq = (1, 0) if which == "del" else (0, 1)
-            src = self.basis(p, q)
-            dst = self.basis(p + dp, q + dq)
-            index = {m: i for i, m in enumerate(dst)}
-            mat = Matrix(len(dst), len(src))
-            for j, mono in enumerate(src):
-                image = self._derive(which, self.spec.monomial_form(mono))
-                for m, c in image.components.items():
-                    if m not in index:
-                        raise AssemblyError(
-                            "%s image leaves the subcomplex at %s"
-                            % (which, mono))
-                    mat.data[index[m]][j] = c
-            self._matrix[key] = mat
+            self._matrix[key] = self._assemble(op, degree)
         return self._matrix[key]
+
+    def _assemble(self, op, degree):
+        if op == "ddbar":
+            p, q = degree
+            return self.matrix("del", p, q + 1).matmul(
+                self.matrix("dbar", p, q))
+        if op == "d":
+            # del and dbar land in different bidegrees, so d is their
+            # blocks placed side by side
+            k = degree[0]
+            mat = Matrix(len(self.basis(k + 1)), len(self.basis(k)))
+            rows_at = dict(self._blocks(k + 1))
+            for (p, q), col in self._blocks(k):
+                for which, target in (("del", (p + 1, q)),
+                                      ("dbar", (p, q + 1))):
+                    row = rows_at[target]
+                    block = self.matrix(which, p, q)
+                    for i, entries in enumerate(block.data):
+                        out = mat.data[row + i]
+                        for j, a in entries.items():
+                            out[col + j] = a
+            return mat
+        src = self.basis(*degree)
+        dst = self.basis(*(a + b for a, b in zip(degree, SHIFT[op])))
+        index = {m: i for i, m in enumerate(dst)}
+        mat = Matrix(len(dst), len(src))
+        for j, mono in enumerate(src):
+            image = self._derive(op, self.spec.monomial_form(mono))
+            for m, c in image.components.items():
+                if m not in index:
+                    raise AssemblyError(
+                        "%s image leaves the subcomplex at %s" % (op, mono))
+                mat.data[index[m]][j] = c
+        return mat
 
     def ddbar_matrix(self, p, q):
         """del dbar from (p, q) to (p+1, q+1)."""
-        return self.matrix("del", p, q + 1).matmul(self.matrix("dbar", p, q))
+        return self.matrix("ddbar", p, q)
 
-    def adjoint_matrix(self, which, p, q):
-        """Adjoint of del/dbar mapping (p, q) down a bidegree."""
-        dp, dq = (1, 0) if which == "del" else (0, 1)
-        sp, sq = p - dp, q - dq
-        if sp < 0 or sq < 0:
-            return Matrix(0, len(self.basis(p, q)))
-        fwd = self.matrix(which, sp, sq)  # (sp,sq) -> (p,q)
-        return self._weighted_adjoint(fwd, (sp, sq), (p, q))
+    def adjoint_matrix(self, op, *degree):
+        """Adjoint of op mapping the degree down by op's shift."""
+        src = _source(degree, op)
+        if src is None:
+            return Matrix(0, len(self.basis(*degree)))
+        return self._weighted_adjoint(self.matrix(op, *src), src, degree)
 
     def ddbar_adjoint_matrix(self, p, q):
-        if p < 1 or q < 1:
-            return Matrix(0, len(self.basis(p, q)))
-        fwd = self.ddbar_matrix(p - 1, q - 1)
-        return self._weighted_adjoint(fwd, (p - 1, q - 1), (p, q))
+        return self.adjoint_matrix("ddbar", p, q)
 
-    def _weighted_adjoint(self, fwd, src_bid, dst_bid):
+    def _weighted_adjoint(self, fwd, src, dst):
         """W_src^-1 fwd^H W_dst: adjoint in the weighted inner products."""
         adj = fwd.conj_transpose()
-        wsrc = self.weights(*src_bid)
-        wdst = self.weights(*dst_bid)
+        wsrc = self.weights(*src)
+        wdst = self.weights(*dst)
         out = Matrix(adj.rows, adj.cols)
         for i, row in enumerate(adj.data):
             inv = GaussianRational(1 / wsrc[i])
@@ -218,22 +299,12 @@ class HodgeEngine:
                 out.data[i][j] = inv * a * GaussianRational(wdst[j])
         return out
 
-    def total_matrix(self, k):
-        """d = del + dbar from total degree k to k + 1."""
-        key = ("total", k)
-        if key in self._matrix:
-            return self._matrix[key]
-        src = self.total_basis(k)
-        dst = self.total_basis(k + 1)
-        index = {(p, q, m): i for i, (p, q, m) in enumerate(dst)}
-        mat = Matrix(len(dst), len(src))
-        for j, (p, q, mono) in enumerate(src):
-            for which, dp, dq in (("del", 1, 0), ("dbar", 0, 1)):
-                image = self._derive(which, self.spec.monomial_form(mono))
-                for m, c in image.components.items():
-                    mat.data[index[(p + dp, q + dq, m)]][j] = c
-        self._matrix[key] = mat
-        return mat
+    def _exact_into(self, theory, degree):
+        """Matrix whose column span is the theory's exact forms at degree."""
+        parts = [self.matrix(op, *src) for op in _theory(theory).exact
+                 for src in (_source(degree, op),) if src is not None]
+        return reduce(Matrix.hstack, parts,
+                      Matrix(len(self.basis(*degree)), 0))
 
     def _validate_squares(self):
         for g in self.spec.generators:
@@ -251,212 +322,110 @@ class HodgeEngine:
 
     # -- star ----------------------------------------------------------
 
+    def _star_monomial(self, mono):
+        """(complement, c): star of the monomial is c times its
+        complement, with c = weight / (+-1) real."""
+        spec = self.spec
+        vol = spec.volume_monomial
+        comp = tuple(v - e for v, e in zip(vol, mono))
+        pairing = spec.monomial_form(mono).wedge(spec.monomial_form(comp))
+        s = pairing.components[vol]  # +-1, never zero
+        return comp, GaussianRational(self.ip.weight(mono)) / s
+
     def star(self, form):
         """Conjugate-linear Hodge star for the diagonal inner product."""
-        spec = self.spec
-        out = spec.zero()
-        vol = spec.volume_monomial
+        out = self.spec.zero()
         for mono, coeff in form.components.items():
-            comp = tuple(v - e for v, e in zip(vol, mono))
-            pairing = spec.monomial_form(mono).wedge(spec.monomial_form(comp))
-            s = pairing.components[vol]  # +-1, never zero
-            c = coeff.conjugate() * GaussianRational(self.ip.weight(mono)) / s
-            out = out + spec.monomial_form(comp, c)
+            comp, c = self._star_monomial(mono)
+            out = out + self.spec.monomial_form(comp, coeff.conjugate() * c)
         return out
 
-    def _star_then(self, whiches, p, q):
-        """Matrix K with: (whiches o star)(a) = 0  <=>  K a = 0.
+    def _after_star(self, op, degree):
+        """Matrix K with: op(star a) = 0  <=>  K a = 0.
 
-        star is conjugate-linear, so the columns built from basis
-        monomials get conjugated to give a genuinely linear system.
+        Read off op at the dual degree: star sends basis monomial j to
+        c_j times its complement and is conjugate-linear, so column j of
+        K is c_j times the conjugate of op's column at the complement.
         """
-        src = self.basis(p, q)
         n = self.spec.n
-        dp = sum(1 for w in whiches if w == "del")
-        dq = len(whiches) - dp
-        dst = self.basis(n - p + dp, n - q + dq)
-        index = {m: i for i, m in enumerate(dst)}
-        mat = Matrix(len(dst), len(src))
+        dual = ((2 * n - degree[0],) if len(degree) == 1
+                else (n - degree[0], n - degree[1]))
+        fwd = self.matrix(op, *dual)
+        index = {m: i for i, m in enumerate(self.basis(*dual))}
+        src = self.basis(*degree)
+        column = {}
         for j, mono in enumerate(src):
-            image = self.star(self.spec.monomial_form(mono))
-            for w in whiches:
-                image = self._derive(w, image)
-            for m, c in image.components.items():
-                mat.data[index[m]][j] = c.conjugate()
+            comp, c = self._star_monomial(mono)
+            column[index.get(comp)] = (j, c)
+        if None in column or len(column) != len(index):
+            raise AssemblyError("subcomplex is not closed under star at %s"
+                                % _label(degree))
+        mat = Matrix(fwd.rows, len(src))
+        for entries, out in zip(fwd.data, mat.data):
+            for i, a in entries.items():
+                j, c = column[i]
+                out[j] = c * a.conjugate()
         return mat
 
     # -- harmonic spaces -----------------------------------------------
 
-    def _kernel_conditions(self, theory, p, q, use_star):
-        # with the conjugate-linear star, X* is proportional to *X* for
-        # X in {del, dbar, del dbar}, so the star-based kernel condition
-        # uses the SAME operator after star
-        if theory == "dolbeault":
-            if use_star:
-                return [self.matrix("dbar", p, q), self._star_then(["dbar"], p, q)]
-            return [self.matrix("dbar", p, q), self.adjoint_matrix("dbar", p, q)]
-        if theory == "conj_dolbeault":
-            if use_star:
-                return [self.matrix("del", p, q), self._star_then(["del"], p, q)]
-            return [self.matrix("del", p, q), self.adjoint_matrix("del", p, q)]
-        if theory == "bott_chern":
-            base = [self.matrix("del", p, q), self.matrix("dbar", p, q)]
-            if use_star:
-                return base + [self._star_then(["dbar", "del"], p, q)]
-            return base + [self.ddbar_adjoint_matrix(p, q)]
-        if theory == "aeppli":
-            base = [self.ddbar_matrix(p, q)]
-            if use_star:
-                return base + [self._star_then(["del"], p, q),
-                               self._star_then(["dbar"], p, q)]
-            return base + [self.adjoint_matrix("del", p, q),
-                           self.adjoint_matrix("dbar", p, q)]
-        raise ValueError("unknown theory %r" % theory)
+    def harmonic_space(self, theory, *degree):
+        """Exact kernel basis of closed + co-exact conditions.
 
-    def harmonic_space(self, theory, p, q):
-        """Exact kernel basis; the star-based and adjoint-based systems
-        are both computed and must agree."""
-        key = (theory, p, q)
+        The co-exact conditions are built twice: as each exact operator
+        after star (with the conjugate-linear star, X* is proportional
+        to star X star for X in {del, dbar, del dbar, d}) and as its
+        weighted adjoint.  The two kernels must agree.
+        """
+        key = (theory,) + degree
         if key not in self._harmonic:
-            conds = self._kernel_conditions(theory, p, q, use_star=True)
-            stacked = conds[0]
-            for m in conds[1:]:
-                stacked = stacked.stack(m)
-            ker = kernel_basis(stacked)
-            conds2 = self._kernel_conditions(theory, p, q, use_star=False)
-            stacked2 = conds2[0]
-            for m in conds2[1:]:
-                stacked2 = stacked2.stack(m)
-            ker2 = kernel_basis(stacked2)
-            if not ker.equals(ker2):
+            ops = _theory(theory)
+            closed = [self.matrix(op, *degree) for op in ops.closed]
+            by_star = kernel_basis(reduce(Matrix.stack, closed + [
+                self._after_star(op, degree) for op in ops.exact]))
+            by_adjoint = kernel_basis(reduce(Matrix.stack, closed + [
+                self.adjoint_matrix(op, *degree) for op in ops.exact]))
+            if not by_star.equals(by_adjoint):
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
-                    "disagree at (%d,%d)" % (theory, p, q))
-            basis = self.basis(p, q)
-            forms = [Form(self.spec,
-                          {m: c for m, c in zip(basis, v) if c})
-                     for v in ker.basis]
-            self._harmonic[key] = HarmonicBasis(theory, (p, q), forms)
+                    "disagree at %s" % (theory, _label(degree)))
+            basis = self.basis(*degree)
+            forms = [Form(self.spec, {m: c for m, c in zip(basis, v) if c})
+                     for v in by_star.basis]
+            self._harmonic[key] = HarmonicBasis(
+                theory, degree if len(degree) > 1 else degree[0], forms,
+                by_star)
         return self._harmonic[key]
 
     def de_rham_harmonic(self, k):
-        key = ("de_rham", k)
-        if key not in self._harmonic:
-            d = self.total_matrix(k)
-            src = self.total_basis(k)
-            if k >= 1:
-                prev = self.total_matrix(k - 1)
-                wsrc = [self.ip.weight(m) for (_, _, m) in self.total_basis(k - 1)]
-                wdst = [self.ip.weight(m) for (_, _, m) in src]
-                adj = prev.conj_transpose()
-                dstar = Matrix(adj.rows, adj.cols)
-                for i, row in enumerate(adj.data):
-                    inv = GaussianRational(1 / wsrc[i])
-                    for j, a in row.items():
-                        dstar.data[i][j] = inv * a * GaussianRational(wdst[j])
-                stacked = d.stack(dstar)
-            else:
-                stacked = d
-            ker = kernel_basis(stacked)
-            forms = [Form(self.spec,
-                          {m: c for (_, _, m), c in zip(src, v) if c})
-                     for v in ker.basis]
-            self._harmonic[key] = HarmonicBasis("de_rham", k, forms)
-        return self._harmonic[key]
+        return self.harmonic_space("de_rham", k)
 
     def is_harmonic(self, theory, form):
-        """Re-check the defining kernel equations on an explicit form."""
+        """Whether form lies in the harmonic space of its degree."""
         if form.is_zero():
             return True
-        bid = form.bidegree()
-        if bid is None:
+        degree = self._degree(theory, form)
+        if degree is None:
             return False
-        p, q = bid
-        vec = self._coords(form, p, q)
-        for m in self._kernel_conditions(theory, p, q, use_star=True):
-            if any(c for c in m.mul_vec(vec)):
-                return False
-        return True
-
-    def is_de_rham_harmonic(self, form):
-        if form.is_zero():
-            return True
-        ks = {self.spec.monomial_degree(m) for m in form.components}
-        if len(ks) != 1:
-            return False
-        k = ks.pop()
-        space = self.de_rham_harmonic(k)
-        sub = self._total_subspace(space, k)
-        return sub.contains(self._total_coords(form, k))
+        return self.harmonic_space(theory, *degree).space.contains(
+            self.coords(form, *degree))
 
     # -- quotient dimensions (the inner-product-free oracle) -----------
 
-    def cohomology_dim(self, theory, p, q):
-        key = ("dim", theory, p, q)
-        if key in self._dim:
-            return self._dim[key]
-        if theory == "dolbeault":
-            closed = kernel_basis(self.matrix("dbar", p, q)).dim
-            exact = self.matrix("dbar", p, q - 1).rank() if q >= 1 else 0
-        elif theory == "conj_dolbeault":
-            closed = kernel_basis(self.matrix("del", p, q)).dim
-            exact = self.matrix("del", p - 1, q).rank() if p >= 1 else 0
-        elif theory == "bott_chern":
-            stacked = self.matrix("del", p, q).stack(self.matrix("dbar", p, q))
-            closed = kernel_basis(stacked).dim
-            exact = (self.ddbar_matrix(p - 1, q - 1).rank()
-                     if p >= 1 and q >= 1 else 0)
-        elif theory == "aeppli":
-            closed = kernel_basis(self.ddbar_matrix(p, q)).dim
-            parts = []
-            if p >= 1:
-                parts.append(self.matrix("del", p - 1, q))
-            if q >= 1:
-                parts.append(self.matrix("dbar", p, q - 1))
-            if parts:
-                joined = parts[0]
-                for m in parts[1:]:
-                    joined = joined.hstack(m)
-                exact = joined.rank()
-            else:
-                exact = 0
-        else:
-            raise ValueError("unknown theory %r" % theory)
-        self._dim[key] = closed - exact
+    def cohomology_dim(self, theory, *degree):
+        """dim ker(closed) - rank(exact into the degree)."""
+        key = (theory,) + degree
+        if key not in self._dim:
+            closed = reduce(Matrix.stack, [self.matrix(op, *degree)
+                                           for op in _theory(theory).closed])
+            self._dim[key] = (closed.cols - closed.rank()
+                              - self._exact_into(theory, degree).rank())
         return self._dim[key]
 
     def betti(self, k):
-        key = ("betti", k)
-        if key not in self._dim:
-            closed = kernel_basis(self.total_matrix(k)).dim
-            exact = self.total_matrix(k - 1).rank() if k >= 1 else 0
-            self._dim[key] = closed - exact
-        return self._dim[key]
+        return self.cohomology_dim("de_rham", k)
 
     # -- classes -------------------------------------------------------
-
-    def _coords(self, form, p, q):
-        basis = self.basis(p, q)
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [ZERO] * len(basis)
-        for m, c in form.components.items():
-            if m not in index:
-                raise ModelError("form outside the (%d,%d) subcomplex basis"
-                                 % (p, q))
-            vec[index[m]] = c
-        return vec
-
-    def _total_coords(self, form, k):
-        src = self.total_basis(k)
-        index = {m: i for i, (_, _, m) in enumerate(src)}
-        vec = [ZERO] * len(src)
-        for m, c in form.components.items():
-            vec[index[m]] = c
-        return vec
-
-    def _total_subspace(self, space, k):
-        return Subspace(len(self.total_basis(k)),
-                        [self._total_coords(f, k) for f in space.forms])
 
     def class_of(self, form, theory):
         """Coordinates of the harmonic projection in the harmonic basis.
@@ -464,62 +433,23 @@ class HodgeEngine:
         Checks the theory's closedness precondition, projects, and
         verifies that the residual is exact in the theory's sense.
         """
-        bid = form.bidegree()
-        if bid is None:
-            raise NotClosedError("form is not bidegree-homogeneous")
-        p, q = bid
-        vec = self._coords(form, p, q)
-        self._check_closed(theory, p, q, vec)
-        space = self.harmonic_space(theory, p, q)
-        sub = Subspace(len(vec), [self._coords(f, p, q) for f in space.forms])
-        w = self.weights(p, q)
-        proj = linalg.orthogonal_project(sub, vec, w)
+        degree = self._degree(theory, form)
+        if degree is None:
+            raise NotClosedError("form is not homogeneous")
+        vec = self.coords(form, *degree)
+        for op in _theory(theory).closed:
+            if any(self.matrix(op, *degree).mul_vec(vec)):
+                raise NotClosedError("form is not %s-closed at %s"
+                                     % (theory, _label(degree)))
+        space = self.harmonic_space(theory, *degree).space
+        proj = linalg.orthogonal_project(space, vec, self.weights(*degree))
         residual = linalg.vec_sub(vec, proj)
-        if not self._residual_exact(theory, p, q, residual):
+        if (not linalg.vec_is_zero(residual)
+                and solve(self._exact_into(theory, degree), residual) is None):
             raise AssemblyError(
-                "harmonic decomposition failed for %s at (%d,%d)"
-                % (theory, p, q))
-        coords = sub.coordinates(proj)
-        return coords
-
-    def _check_closed(self, theory, p, q, vec):
-        if theory == "dolbeault":
-            conds = [self.matrix("dbar", p, q)]
-        elif theory == "conj_dolbeault":
-            conds = [self.matrix("del", p, q)]
-        elif theory == "bott_chern":
-            conds = [self.matrix("del", p, q), self.matrix("dbar", p, q)]
-        elif theory == "aeppli":
-            conds = [self.ddbar_matrix(p, q)]
-        else:
-            raise ValueError("unknown theory %r" % theory)
-        for m in conds:
-            if any(c for c in m.mul_vec(vec)):
-                raise NotClosedError(
-                    "form is not %s-closed at (%d,%d)" % (theory, p, q))
-
-    def _residual_exact(self, theory, p, q, residual):
-        if linalg.vec_is_zero(residual):
-            return True
-        if theory == "dolbeault":
-            m = self.matrix("dbar", p, q - 1) if q >= 1 else Matrix(len(residual), 0)
-        elif theory == "conj_dolbeault":
-            m = self.matrix("del", p - 1, q) if p >= 1 else Matrix(len(residual), 0)
-        elif theory == "bott_chern":
-            m = (self.ddbar_matrix(p - 1, q - 1)
-                 if p >= 1 and q >= 1 else Matrix(len(residual), 0))
-        else:  # aeppli
-            parts = []
-            if p >= 1:
-                parts.append(self.matrix("del", p - 1, q))
-            if q >= 1:
-                parts.append(self.matrix("dbar", p, q - 1))
-            if not parts:
-                return False
-            m = parts[0]
-            for x in parts[1:]:
-                m = m.hstack(x)
-        return solve(m, residual) is not None
+                "harmonic decomposition failed for %s at %s"
+                % (theory, _label(degree)))
+        return space.coordinates(proj)
 
     # -- tables --------------------------------------------------------
 

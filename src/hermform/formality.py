@@ -71,18 +71,15 @@ def _product_sweep(engine, theory):
 
 
 def _abc_spaces(engine):
-    """Per-bidegree sum ℋ_A + ℋ_BC as coordinate subspaces."""
+    """Per-bidegree sum ℋ_A + ℋ_BC: coordinate subspace and forms."""
     spaces = {}
     for bid in engine.spec.bidegrees():
         if not engine.basis(*bid):
             continue
-        vectors = []
-        for theory in ("aeppli", "bott_chern"):
-            for f in engine.harmonic_space(theory, *bid):
-                vectors.append(engine._coords(f, *bid))
-        spaces[bid] = (Subspace(len(engine.basis(*bid)), vectors),
-                       [f for theory in ("aeppli", "bott_chern")
-                        for f in engine.harmonic_space(theory, *bid)])
+        a = engine.harmonic_space("aeppli", *bid)
+        bc = engine.harmonic_space("bott_chern", *bid)
+        span = Subspace(a.space.ambient, a.space.basis + bc.space.basis)
+        spaces[bid] = (span, a.forms + bc.forms)
     return spaces
 
 
@@ -92,7 +89,7 @@ def _in_abc_space(engine, spaces, form):
     bid = form.bidegree()
     if bid not in spaces:
         return False
-    return spaces[bid][0].contains(engine._coords(form, *bid))
+    return spaces[bid][0].contains(engine.coords(form, *bid))
 
 
 def check_formality(engine, notion):
@@ -163,14 +160,10 @@ def _check_aeppli(engine):
                 break
     spaces_equal = True
     for bid in engine.spec.bidegrees():
-        nb = len(engine.basis(*bid))
-        if not nb:
+        if not engine.basis(*bid):
             continue
-        bc = Subspace(nb, [engine._coords(f, *bid)
-                           for f in engine.harmonic_space("bott_chern", *bid)])
-        ae = Subspace(nb, [engine._coords(f, *bid)
-                           for f in engine.harmonic_space("aeppli", *bid)])
-        if not bc.equals(ae):
+        bc = engine.harmonic_space("bott_chern", *bid).space
+        if not bc.equals(engine.harmonic_space("aeppli", *bid).space):
             spaces_equal = False
             break
     verdict = module_witness is None and spaces_equal
@@ -187,7 +180,7 @@ def _check_de_rham(engine):
             for a in engine.de_rham_harmonic(j):
                 for b in engine.de_rham_harmonic(k):
                     prod = a.wedge(b)
-                    if not engine.is_de_rham_harmonic(prod):
+                    if not engine.is_harmonic("de_rham", prod):
                         return FormalityReport(
                             "geom_de_rham", False,
                             Witness(a, b, "de-rham-harmonicity", prod))
@@ -224,9 +217,7 @@ def ddbar_p0_report(engine):
     n = engine.spec.n
 
     def space(theory, p, q):
-        nb = len(engine.basis(p, q))
-        return Subspace(nb, [engine._coords(f, p, q)
-                             for f in engine.harmonic_space(theory, p, q)])
+        return engine.harmonic_space(theory, p, q).space
 
     report = {}
     for p in range(0, n + 1):

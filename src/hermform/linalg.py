@@ -52,13 +52,6 @@ class Matrix:
                     m.data[i][j] = v
         return m
 
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = ONE
-        return m
-
     def set(self, i, j, value):
         value = _as_scalar(value)
         if value:
@@ -217,11 +210,12 @@ def solve(m, b):
 class Subspace:
     """A linear subspace of a coordinate space, given by a spanning set.
 
-    Internally keeps a reduced row echelon basis so membership tests and
-    dimension counts are canonical.
+    Keeps only its sparse reduced row echelon rows, so membership tests
+    and dimension counts are canonical; `basis` lists them as dense
+    vectors on demand.
     """
 
-    __slots__ = ("ambient", "basis", "_rref", "_pivots")
+    __slots__ = ("ambient", "_rref", "_pivots")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
@@ -234,7 +228,10 @@ class Subspace:
             if row:
                 rows.append(row)
         self._pivots, self._rref = _row_echelon(rows, ambient)
-        self.basis = [self._row_to_vec(r) for r in self._rref]
+
+    @property
+    def basis(self):
+        return [self._row_to_vec(r) for r in self._rref]
 
     def _row_to_vec(self, row):
         v = [ZERO] * self.ambient
@@ -283,41 +280,10 @@ class Subspace:
                         row.pop(j, None)
         return coords
 
-    def sum(self, other):
-        self._check(other)
-        return Subspace(self.ambient, self.basis + other.basis)
-
-    def intersection(self, other):
-        self._check(other)
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient)
-        # columns: coefficients on self.basis then on other.basis;
-        # kernel of [A | -B] (stacked as columns) gives pairs with A x = B y.
-        m = Matrix(self.ambient, self.dim + other.dim)
-        for k, v in enumerate(self.basis):
-            for i, a in enumerate(v):
-                if a:
-                    m.data[i][k] = a
-        for k, v in enumerate(other.basis):
-            for i, a in enumerate(v):
-                if a:
-                    m.data[i][self.dim + k] = -a
-        ker = kernel_basis(m)
-        vectors = []
-        for w in ker.basis:
-            v = [ZERO] * self.ambient
-            for k, b in enumerate(self.basis):
-                if w[k]:
-                    for i, a in enumerate(b):
-                        if a:
-                            v[i] = v[i] + w[k] * a
-            vectors.append(v)
-        return Subspace(self.ambient, vectors)
-
     def equals(self, other):
+        """Equal subspaces have the same (canonical) reduced rows."""
         self._check(other)
-        return (self.dim == other.dim
-                and all(other.contains(v) for v in self.basis))
+        return self._rref == other._rref
 
     def _check(self, other):
         if self.ambient != other.ambient:

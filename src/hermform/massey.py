@@ -45,7 +45,7 @@ def solve_potential(engine, target):
         raise PotentialError("no (p-1, q-1) source space for bidegree %s"
                              % (bid,))
     m = engine.ddbar_matrix(p - 1, q - 1)
-    rhs = engine._coords(target, p, q)
+    rhs = engine.coords(target, p, q)
     x = linalg.min_norm_solve(m, rhs, engine.weights(p - 1, q - 1))
     if x is None:
         raise PotentialError("target is not del-dbar-exact at %s" % (bid,))

@@ -1,16 +1,19 @@
 """Differentials, star, harmonic spaces, and the quotient oracle."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from hermform.calculus import (AssemblyError, HodgeEngine, InnerProduct,
-                               NotClosedError)
-from hermform.catalog import calabi_eckmann, engine_for, nakamura, torus
-from hermform.linalg import inner
-from hermform.model import GeneratorSpec, ModelSpec
-from hermform.scalars import GaussianRational, ONE
+from hermform.calculus import (THEORY, AssemblyError, HodgeEngine,
+                               InnerProduct, NotClosedError)
+from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
+                              torus)
+from hermform.cli import run
+from hermform.linalg import Matrix, inner
+from hermform.model import GeneratorSpec, ModelError, ModelSpec
+from hermform.scalars import GaussianRational, ONE, ZERO
 
 SAMPLE_IDS = ("torus:2", "iwasawa", "ce:u=1,v=1", "nakamura:IV.3")
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -135,6 +138,45 @@ def test_de_rham_dims_match_betti(ident):
         assert engine.de_rham_harmonic(k).dim == engine.betti(k)
 
 
+@pytest.mark.parametrize("ident", ("iwasawa", "ce:u=1,v=1", "nakamura:III.3"))
+def test_every_theory_under_seeded_metric(ident):
+    """Both harmonic routes, the quotient dimension and class_of agree
+    under a non-default metric, for all five theories."""
+    spec = load(ident)
+    rng = random.Random(61)
+    weights = {m: Fraction(rng.randint(1, 5), rng.randint(1, 5))
+               for bid in spec.bidegrees() for m in spec.basis(*bid)}
+    engine = HodgeEngine(spec, InnerProduct(weights))
+    for theory in THEORY:
+        degrees = ([(k,) for k in range(2 * spec.n + 1)]
+                   if theory == "de_rham" else spec.bidegrees())
+        for degree in degrees:
+            space = engine.harmonic_space(theory, *degree)
+            assert space.dim == engine.cohomology_dim(theory, *degree), \
+                (theory, degree)
+            for i, f in enumerate(space):
+                unit = [ONE if j == i else ZERO for j in range(space.dim)]
+                assert engine.class_of(f, theory) == unit, (theory, degree)
+
+
+def test_de_rham_cross_check_fires(monkeypatch):
+    # a zero adjoint leaves only d a = 0 on the adjoint route
+    monkeypatch.setattr(HodgeEngine, "_weighted_adjoint",
+                        lambda self, fwd, src, dst: Matrix(fwd.cols, fwd.rows))
+    with pytest.raises(AssemblyError):
+        HodgeEngine(load("iwasawa")).de_rham_harmonic(2)
+    argv = ["formality", "--model", "iwasawa", "--notion", "de-rham"]
+    assert run(argv, out=io.StringIO(), err=io.StringIO()) == 2
+
+
+def test_de_rham_membership_outside_subcomplex():
+    engine = engine_for("example1:invariant")
+    spec = engine.spec
+    for form in (spec.gen("p1"), spec.gen("p1") + spec.gen("q1")):
+        with pytest.raises(ModelError):
+            engine.is_harmonic("de_rham", form)
+
+
 def test_torus_harmonic_is_everything():
     engine = engine_for("torus:2")
     for p, q in engine.spec.bidegrees():
@@ -144,14 +186,22 @@ def test_torus_harmonic_is_everything():
 
 
 def test_harmonic_forms_satisfy_defining_equations():
+    """Closed ops kill each harmonic form and exact ops kill its star,
+    applied as derivations on forms rather than through the matrices."""
     engine = engine_for("iwasawa")
-    for theory in THEORIES:
-        for p, q in engine.spec.bidegrees():
-            for f in engine.harmonic_space(theory, p, q):
+    de, db = (lambda f: engine._derive("del", f),
+              lambda f: engine._derive("dbar", f))
+    apply = {"del": de, "dbar": db, "ddbar": lambda f: de(db(f)),
+             "d": lambda f: de(f) + db(f)}
+    for theory, ops in THEORY.items():
+        degrees = ([(k,) for k in range(7)] if theory == "de_rham"
+                   else engine.spec.bidegrees())
+        for degree in degrees:
+            for f in engine.harmonic_space(theory, *degree):
                 assert engine.is_harmonic(theory, f)
-    for k in range(7):
-        for f in engine.de_rham_harmonic(k):
-            assert engine.is_de_rham_harmonic(f)
+                assert all(apply[op](f).is_zero() for op in ops.closed)
+                assert all(apply[op](engine.star(f)).is_zero()
+                           for op in ops.exact), (theory, degree)
 
 
 def test_class_of_requires_closedness():
@@ -190,6 +240,15 @@ def test_filter_must_keep_volume():
     spec = nakamura("III.2")
     with pytest.raises(AssemblyError):
         HodgeEngine(spec, monomial_filter=lambda m: sum(m) == 0)
+
+
+def test_filter_must_be_closed_under_star():
+    # a subcomplex without the 1-forms but with their complements
+    engine = HodgeEngine(load("iwasawa"), monomial_filter=lambda m: sum(m) != 1)
+    with pytest.raises(AssemblyError):
+        engine.harmonic_space("dolbeault", 2, 3)
+    with pytest.raises(AssemblyError):
+        engine.de_rham_harmonic(1)
 
 
 def test_inner_product_rejects_nonpositive_weight():

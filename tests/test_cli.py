@@ -149,3 +149,40 @@ def test_ascii_env_var(monkeypatch):
                            "--notion", "bott-chern"])
     assert code == 0
     assert "φ" not in out
+
+
+# Pinned full stdout: witnesses and projections depend on the harmonic
+# bases and on the order of the sweep, so a change to either shows here.
+FORMALITY_IWASAWA = (
+    'geom_dolbeault: no\n'
+    '  witness: (q2) ^ (q1) violates dolbeault-harmonicity\n'
+    'geom_bott_chern: no\n'
+    '  witness: (q2) ^ (p1*p2*q1) violates bott_chern-harmonicity\n'
+    '  metric-independent obstruction: holomorphic form p3 with del != 0\n'
+    'geom_abc: no\n'
+    '  witness: (q3) ^ (p3) violates wedge-closure of H_A + H_BC\n'
+    'geom_aeppli: no\n'
+    '  bc_equals_aeppli: no\n'
+    '  module_condition: no\n'
+    '  witness: (1) ^ (q1*q2) violates aeppli-harmonicity of H_A * H_BC\n'
+    'geom_de_rham: no\n'
+    '  witness: (q2) ^ (q1) violates de-rham-harmonicity\n'
+)
+
+MASSEY_IWASAWA = (
+    'nonzero: yes\n'
+    'bidegree: (1,3)\n'
+    'representative: p3*q1*q2*q3\n'
+    'aeppli projection: p3*q1*q2*q3\n'
+    'indeterminacy dimension: 2\n'
+)
+
+
+def test_pinned_formality_and_massey_output():
+    code, out, _ = invoke(["formality", "--model", "iwasawa", "--ascii"])
+    assert code == 0
+    assert out == FORMALITY_IWASAWA
+    code, out, _ = invoke(["massey", "--model", "iwasawa", "--a", "p1*p2",
+                           "--b", "q1*q2", "--c", "q1*q2", "--ascii"])
+    assert code == 0
+    assert out == MASSEY_IWASAWA
