@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import linalg
-from .linalg import Matrix, kernel_basis, solve
+from .linalg import Matrix, kernel_basis
 from .model import Form, ModelError
 from .scalars import GaussianRational, ZERO
 
@@ -175,6 +175,7 @@ class HodgeEngine:
         self._matrix = {}
         self._harmonic = {}
         self._dim = {}
+        self._projection = {}
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
         self._validate_squares()
@@ -427,6 +428,16 @@ class HodgeEngine:
 
     # -- classes -------------------------------------------------------
 
+    def _projection_for(self, theory, degree):
+        """(Projector onto the harmonic space, RREF of the exact forms)."""
+        key = (theory,) + degree
+        if key not in self._projection:
+            self._projection[key] = (
+                linalg.Projector(self.harmonic_space(theory, *degree).space,
+                                 self.weights(*degree)),
+                linalg.column_space(self._exact_into(theory, degree)))
+        return self._projection[key]
+
     def class_of(self, form, theory):
         """Coordinates of the harmonic projection in the harmonic basis.
 
@@ -441,15 +452,14 @@ class HodgeEngine:
             if any(self.matrix(op, *degree).mul_vec(vec)):
                 raise NotClosedError("form is not %s-closed at %s"
                                      % (theory, _label(degree)))
-        space = self.harmonic_space(theory, *degree).space
-        proj = linalg.orthogonal_project(space, vec, self.weights(*degree))
-        residual = linalg.vec_sub(vec, proj)
-        if (not linalg.vec_is_zero(residual)
-                and solve(self._exact_into(theory, degree), residual) is None):
+        projector, exact = self._projection_for(theory, degree)
+        coeffs = projector.coefficients(vec)
+        if not exact.contains(
+                linalg.vec_sub(vec, projector.space.combine(coeffs))):
             raise AssemblyError(
                 "harmonic decomposition failed for %s at %s"
                 % (theory, _label(degree)))
-        return space.coordinates(proj)
+        return coeffs
 
     # -- tables --------------------------------------------------------
 

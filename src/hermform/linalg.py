@@ -173,18 +173,23 @@ def kernel_basis(m):
     """Basis of {v : M v = 0} as a Subspace of dimension m.cols."""
     pivots, reduced = _row_echelon([dict(r) for r in m.data], m.cols)
     pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    pivot_row = {c: row for c, row in zip(pivots, reduced)}
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for c in pivots:
-            a = pivot_row[c].get(f)
-            if a is not None:
-                v[c] = -a
-        basis.append(v)
-    return Subspace(m.cols, basis)
+    # one kernel row per free column f: 1 at f, minus column f of the
+    # RREF at each pivot (RREF rows hold no other pivot column)
+    free = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    for c, row in zip(pivots, reduced):
+        for f, a in row.items():
+            if f != c:
+                free[f][c] = -a
+    return Subspace._from_rows(m.cols, list(free.values()))
+
+
+def column_space(m):
+    """Span of the columns of M as a Subspace of dimension m.rows."""
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, a in row.items():
+            cols[j][i] = a
+    return Subspace._from_rows(m.rows, [c for c in cols if c])
 
 
 def solve(m, b):
@@ -228,6 +233,14 @@ class Subspace:
             if row:
                 rows.append(row)
         self._pivots, self._rref = _row_echelon(rows, ambient)
+
+    @classmethod
+    def _from_rows(cls, ambient, rows):
+        """Subspace spanned by nonzero sparse row dicts, reduced in place."""
+        self = cls.__new__(cls)
+        self.ambient = ambient
+        self._pivots, self._rref = _row_echelon(rows, ambient)
+        return self
 
     @property
     def basis(self):
@@ -280,6 +293,15 @@ class Subspace:
                         row.pop(j, None)
         return coords
 
+    def combine(self, coords):
+        """The vector with the given coefficients on self.basis."""
+        v = [ZERO] * self.ambient
+        for c, row in zip(coords, self._rref):
+            if c:
+                for j, a in row.items():
+                    v[j] = v[j] + c * a
+        return v
+
     def equals(self, other):
         """Equal subspaces have the same (canonical) reduced rows."""
         self._check(other)
@@ -311,33 +333,72 @@ def inner(u, v, weights=None):
     return acc
 
 
-def orthogonal_project(space, v, weights=None):
-    """Orthogonal projection of v onto the subspace.
+class Projector:
+    """Weighted orthogonal projection onto a fixed subspace.
 
-    Solves the normal equations exactly; the residual v - p is orthogonal
-    to every basis vector of the subspace.
+    Factored once: keeps the weighted conjugate of each basis row and
+    the inverse of the basis Gram matrix, so a projection costs one
+    sparse dot product per basis vector and one k x k product.
     """
-    if len(v) != space.ambient:
-        raise DimensionMismatch("vector length %d != ambient %d"
-                                % (len(v), space.ambient))
-    basis = space.basis
-    if not basis:
-        return [ZERO] * space.ambient
-    k = len(basis)
-    gram = Matrix(k, k)
-    for i in range(k):
-        for j in range(k):
-            gram.set(i, j, inner(basis[j], basis[i], weights))
-    rhs = [inner(v, basis[i], weights) for i in range(k)]
-    coeffs = solve(gram, rhs)
-    assert coeffs is not None  # Gram matrix of independent vectors
-    p = [ZERO] * space.ambient
-    for c, b in zip(coeffs, basis):
-        if c:
-            for idx, a in enumerate(b):
-                if a:
-                    p[idx] = p[idx] + c * a
-    return p
+
+    __slots__ = ("space", "_dual", "_gram_inv")
+
+    def __init__(self, space, weights=None):
+        self.space = space
+        rows = space._rref
+        k = len(rows)
+        # <v, b_i> = sum_j v_j * dual_i[j]
+        self._dual = [{j: a.conjugate() if weights is None
+                       else a.conjugate() * GaussianRational(weights[j])
+                       for j, a in row.items()} for row in rows]
+        # G[i][j] = <b_j, b_i>; invert by row-reducing [G | I]
+        aug = []
+        for i, dual in enumerate(self._dual):
+            g = {k + i: ONE}
+            for j, row in enumerate(rows):
+                acc = ZERO
+                for t, a in row.items():
+                    d = dual.get(t)
+                    if d is not None:
+                        acc = acc + a * d
+                if acc:
+                    g[j] = acc
+            aug.append(g)
+        pivots, reduced = _row_echelon(aug, k)
+        if len(pivots) != k:
+            raise ArithmeticError("Gram matrix is singular")
+        self._gram_inv = [{j - k: a for j, a in row.items() if j >= k}
+                          for row in reduced]
+
+    def coefficients(self, v):
+        """Coefficients of the projection of v on space.basis."""
+        if len(v) != self.space.ambient:
+            raise DimensionMismatch("vector length %d != ambient %d"
+                                    % (len(v), self.space.ambient))
+        rhs = []
+        for dual in self._dual:
+            acc = ZERO
+            for j, d in dual.items():
+                if v[j]:
+                    acc = acc + v[j] * d
+            rhs.append(acc)
+        coeffs = []
+        for row in self._gram_inv:
+            acc = ZERO
+            for j, a in row.items():
+                if rhs[j]:
+                    acc = acc + a * rhs[j]
+            coeffs.append(acc)
+        return coeffs
+
+    def project(self, v):
+        """The projection of v; the residual is orthogonal to the space."""
+        return self.space.combine(self.coefficients(v))
+
+
+def orthogonal_project(space, v, weights=None):
+    """Orthogonal projection of v onto the subspace."""
+    return Projector(space, weights).project(v)
 
 
 def min_norm_solve(m, b, weights=None):
@@ -358,7 +419,3 @@ def min_norm_solve(m, b, weights=None):
 
 def vec_sub(u, v):
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_is_zero(v):
-    return all(not a for a in v)

@@ -6,12 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from hermform.calculus import (THEORY, AssemblyError, HodgeEngine,
+from hermform import linalg
+from hermform.calculus import (SHIFT, THEORY, AssemblyError, HodgeEngine,
                                InnerProduct, NotClosedError)
 from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
                               torus)
 from hermform.cli import run
-from hermform.linalg import Matrix, inner
+from hermform.linalg import Matrix, inner, solve
 from hermform.model import GeneratorSpec, ModelError, ModelSpec
 from hermform.scalars import GaussianRational, ONE, ZERO
 
@@ -138,25 +139,108 @@ def test_de_rham_dims_match_betti(ident):
         assert engine.de_rham_harmonic(k).dim == engine.betti(k)
 
 
-@pytest.mark.parametrize("ident", ("iwasawa", "ce:u=1,v=1", "nakamura:III.3"))
-def test_every_theory_under_seeded_metric(ident):
-    """Both harmonic routes, the quotient dimension and class_of agree
-    under a non-default metric, for all five theories."""
+def _seeded_engine(ident):
     spec = load(ident)
     rng = random.Random(61)
     weights = {m: Fraction(rng.randint(1, 5), rng.randint(1, 5))
                for bid in spec.bidegrees() for m in spec.basis(*bid)}
-    engine = HodgeEngine(spec, InnerProduct(weights))
+    return HodgeEngine(spec, InnerProduct(weights))
+
+
+def _degrees(theory, spec):
+    return ([(k,) for k in range(2 * spec.n + 1)] if theory == "de_rham"
+            else spec.bidegrees())
+
+
+@pytest.mark.parametrize("ident", ("iwasawa", "ce:u=1,v=1", "nakamura:III.3"))
+def test_every_theory_under_seeded_metric(ident):
+    """Both harmonic routes, the quotient dimension and class_of agree
+    under a non-default metric, for all five theories."""
+    engine = _seeded_engine(ident)
     for theory in THEORY:
-        degrees = ([(k,) for k in range(2 * spec.n + 1)]
-                   if theory == "de_rham" else spec.bidegrees())
-        for degree in degrees:
+        for degree in _degrees(theory, engine.spec):
             space = engine.harmonic_space(theory, *degree)
             assert space.dim == engine.cohomology_dim(theory, *degree), \
                 (theory, degree)
             for i, f in enumerate(space):
                 unit = [ONE if j == i else ZERO for j in range(space.dim)]
                 assert engine.class_of(f, theory) == unit, (theory, degree)
+
+
+def test_class_of_harmonic_plus_exact_under_seeded_metric():
+    """class_of(h + e), h harmonic and e exact, gives h's coordinates,
+    which a dense Gram solve of the normal equations confirms."""
+    rng = random.Random(67)
+    with_exact = set()
+    for ident in ("iwasawa", "ce:u=1,v=1"):
+        engine = _seeded_engine(ident)
+        spec = engine.spec
+        de, db = (lambda f: engine._derive("del", f),
+                  lambda f: engine._derive("dbar", f))
+        apply = {"del": de, "dbar": db, "ddbar": lambda f: de(db(f)),
+                 "d": lambda f: de(f) + db(f)}
+
+        def source_form(src):
+            # every monomial of the source degree, so e misses nothing
+            # the exact operators can reach
+            return sum((spec.monomial_form(m, GaussianRational(
+                rng.randint(1, 3), rng.randint(-2, 2)))
+                for m in engine.basis(*src)), spec.zero())
+
+        for theory, ops in THEORY.items():
+            for degree in _degrees(theory, spec):
+                space = engine.harmonic_space(theory, *degree)
+                if not space.dim:
+                    continue
+                exact = spec.zero()
+                for op in ops.exact:
+                    src = tuple(a - b for a, b in zip(degree, SHIFT[op]))
+                    if min(src) >= 0:
+                        exact = exact + apply[op](source_form(src))
+                if not exact.is_zero():
+                    with_exact.add(theory)
+                coeffs = [GaussianRational(rng.randint(1, 3),
+                                           rng.randint(-2, 2))
+                          for _ in range(space.dim)]
+                form = sum((f * c for c, f in zip(coeffs, space)), exact)
+                got = engine.class_of(form, theory)
+                assert got == coeffs, (ident, theory, degree)
+                w = engine.weights(*degree)
+                basis = [engine.coords(f, *degree) for f in space]
+                v = engine.coords(form, *degree)
+                gram = Matrix.from_rows([[inner(bj, bi, w) for bj in basis]
+                                         for bi in basis])
+                assert solve(gram, [inner(v, bi, w) for bi in basis]) == got
+    # ce:u=1,v=1 has no del-dbar-exact forms, iwasawa supplies them
+    assert with_exact == set(THEORY)
+
+
+def test_class_of_result_does_not_alias_engine_state():
+    engine = HodgeEngine(load("iwasawa"))
+    space = engine.harmonic_space("aeppli", 1, 1)
+    forms = [dict(f.components) for f in space]
+    form = space.forms[0] + space.forms[-1]
+    first = engine.class_of(form, "aeppli")
+    expected = list(first)
+    first[:] = [ZERO] * len(first)
+    assert engine.class_of(form, "aeppli") == expected
+    assert [f.components for f in engine.harmonic_space("aeppli", 1, 1)] \
+        == forms
+
+
+def test_class_of_residual_check_fires(monkeypatch):
+    # a projector that drops every class leaves a non-exact residual
+    monkeypatch.setattr(linalg.Projector, "coefficients",
+                        lambda self, v: [ZERO] * self.space.dim)
+    engine = HodgeEngine(load("iwasawa"))
+    with pytest.raises(AssemblyError):
+        engine.class_of(engine.harmonic_space("aeppli", 1, 1).forms[0],
+                        "aeppli")
+    argv = ["massey", "--model", "iwasawa", "--a", "p1*p2", "--b", "q1*q2",
+            "--c", "q1*q2"]
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == 2
+    assert "harmonic decomposition failed" in err.getvalue()
 
 
 def test_de_rham_cross_check_fires(monkeypatch):

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from hermform import linalg
-from hermform.linalg import (DimensionMismatch, Matrix, Subspace, inner,
-                             kernel_basis, min_norm_solve,
+from hermform.linalg import (DimensionMismatch, Matrix, Projector, Subspace,
+                             inner, kernel_basis, min_norm_solve,
                              orthogonal_project, solve)
 from hermform.scalars import GaussianRational, ZERO, ONE
 
@@ -98,9 +98,16 @@ def test_projection_residual_orthogonal():
         v = rand_vec(rng, n)
         p = orthogonal_project(s, v, weights)
         assert s.contains(p)
+        assert Projector(s, weights).coefficients(v) == s.coordinates(p)
         r = linalg.vec_sub(v, p)
         for b in s.basis:
             assert inner(r, b, weights).is_zero()
+
+
+def test_singular_gram_matrix_raises():
+    # a zero weight on the only coordinate the basis uses
+    with pytest.raises(ArithmeticError, match="Gram matrix is singular"):
+        orthogonal_project(Subspace(2, [[1, 0]]), [1, 1], weights=[0, 1])
 
 
 def test_min_norm_solution_is_minimal_and_deterministic():
