@@ -17,8 +17,8 @@ from functools import reduce
 
 from . import linalg
 from .linalg import Matrix, kernel_basis
-from .model import Form, ModelError
-from .scalars import GaussianRational, ZERO
+from .model import Form, ModelError, _merge_monomials
+from .scalars import GaussianRational, ONE, ZERO
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
@@ -172,7 +172,10 @@ class HodgeEngine:
         self.ip = inner_product or InnerProduct()
         self.filter = monomial_filter
         self._basis = {}
+        self._weight_scalars = {}
         self._matrix = {}
+        self._adjoint = {}
+        self._star = {}
         self._harmonic = {}
         self._dim = {}
         self._projection = {}
@@ -206,6 +209,17 @@ class HodgeEngine:
 
     def weights(self, *degree):
         return [self.ip.weight(m) for m in self.basis(*degree)]
+
+    def _scalar_weights(self, degree):
+        """(w, 1/w) on the degree's basis as scalars, built once; equal
+        weights share their scalars."""
+        if degree not in self._weight_scalars:
+            ws = self.weights(*degree)
+            scalar = {x: GaussianRational(x) for x in set(ws)}
+            inverse = {x: ONE / w for x, w in scalar.items()}
+            self._weight_scalars[degree] = ([scalar[x] for x in ws],
+                                            [inverse[x] for x in ws])
+        return self._weight_scalars[degree]
 
     def coords(self, form, *degree):
         """Coefficient vector of form on the degree's basis."""
@@ -280,10 +294,14 @@ class HodgeEngine:
 
     def adjoint_matrix(self, op, *degree):
         """Adjoint of op mapping the degree down by op's shift."""
-        src = _source(degree, op)
-        if src is None:
-            return Matrix(0, len(self.basis(*degree)))
-        return self._weighted_adjoint(self.matrix(op, *src), src, degree)
+        key = (op,) + degree
+        if key not in self._adjoint:
+            src = _source(degree, op)
+            self._adjoint[key] = (
+                Matrix(0, len(self.basis(*degree))) if src is None
+                else self._weighted_adjoint(self.matrix(op, *src), src,
+                                            degree))
+        return self._adjoint[key]
 
     def ddbar_adjoint_matrix(self, p, q):
         return self.adjoint_matrix("ddbar", p, q)
@@ -291,14 +309,11 @@ class HodgeEngine:
     def _weighted_adjoint(self, fwd, src, dst):
         """W_src^-1 fwd^H W_dst: adjoint in the weighted inner products."""
         adj = fwd.conj_transpose()
-        wsrc = self.weights(*src)
-        wdst = self.weights(*dst)
-        out = Matrix(adj.rows, adj.cols)
-        for i, row in enumerate(adj.data):
-            inv = GaussianRational(1 / wsrc[i])
-            for j, a in row.items():
-                out.data[i][j] = inv * a * GaussianRational(wdst[j])
-        return out
+        inv = self._scalar_weights(src)[1]
+        wdst = self._scalar_weights(dst)[0]
+        adj.data = [{j: inv[i] * a * wdst[j] for j, a in row.items()}
+                    for i, row in enumerate(adj.data)]
+        return adj
 
     def _exact_into(self, theory, degree):
         """Matrix whose column span is the theory's exact forms at degree."""
@@ -325,13 +340,15 @@ class HodgeEngine:
 
     def _star_monomial(self, mono):
         """(complement, c): star of the monomial is c times its
-        complement, with c = weight / (+-1) real."""
-        spec = self.spec
-        vol = spec.volume_monomial
-        comp = tuple(v - e for v, e in zip(vol, mono))
-        pairing = spec.monomial_form(mono).wedge(spec.monomial_form(comp))
-        s = pairing.components[vol]  # +-1, never zero
-        return comp, GaussianRational(self.ip.weight(mono)) / s
+        complement, c = +-weight with the sign of mono ^ complement
+        = +-vol.  Built once per monomial and engine."""
+        if mono not in self._star:
+            comp = tuple(v - e for v, e in zip(self.spec.volume_monomial,
+                                               mono))
+            sign = _merge_monomials(self.spec, mono, comp)[1]
+            self._star[mono] = (comp, GaussianRational(
+                sign * self.ip.weight(mono)))
+        return self._star[mono]
 
     def star(self, form):
         """Conjugate-linear Hodge star for the diagonal inner product."""

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit status: 0 = computed; 1 = user error; 2 = broken internal
-invariant.  HERMFORM_ASCII=1 forces ASCII output.
+Exit status: 0 = computed; 1 = user error (one of the classes in
+USER_ERRORS); 2 = broken internal invariant or any other internal fault,
+reported as one line on stderr.  HERMFORM_ASCII=1 forces ASCII output.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import os
 import sys
 
-from . import catalog, dsl, formality, massey, obstructions
+from . import catalog, dsl, formality, linalg, massey, obstructions
 from .calculus import AssemblyError, HodgeEngine, NotClosedError
 from .catalog import CatalogError
 from .dsl import DslError
@@ -322,6 +323,10 @@ def build_parser():
     return ap
 
 
+# Errors in what the user asked for; everything else is an internal fault.
+USER_ERRORS = (CatalogError, DslError, TableError, ModelError, OSError,
+               ValueError)
+
 _HANDLERS = {
     "list": cmd_list, "cohomology": cmd_cohomology,
     "formality": cmd_formality, "massey": cmd_massey,
@@ -346,13 +351,15 @@ def run(argv=None, out=None, err=None):
         return 1
     try:
         return _HANDLERS[verb](args, out)
-    except AssemblyError as e:
+    except (AssemblyError, linalg.DimensionMismatch) as e:
         err.write("internal invariant violated: %s\n" % e)
         return 2
-    except (CatalogError, DslError, TableError, ModelError, OSError,
-            ValueError) as e:
+    except USER_ERRORS as e:
         err.write("error: %s\n" % e)
         return 1
+    except Exception as e:  # an internal fault, not a user error
+        err.write("internal error: %s: %s\n" % (type(e).__name__, e))
+        return 2
 
 
 def main():

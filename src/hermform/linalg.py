@@ -171,16 +171,21 @@ def _row_echelon(rows, cols):
 
 def kernel_basis(m):
     """Basis of {v : M v = 0} as a Subspace of dimension m.cols."""
-    pivots, reduced = _row_echelon([dict(r) for r in m.data], m.cols)
+    return _kernel(m.cols, *_row_echelon([dict(r) for r in m.data], m.cols))
+
+
+def _kernel(cols, pivots, reduced):
+    """Kernel of the first `cols` columns of a reduced row echelon form
+    whose pivots all lie in those columns."""
     pivot_set = set(pivots)
     # one kernel row per free column f: 1 at f, minus column f of the
     # RREF at each pivot (RREF rows hold no other pivot column)
-    free = {f: {f: ONE} for f in range(m.cols) if f not in pivot_set}
+    free = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
     for c, row in zip(pivots, reduced):
         for f, a in row.items():
-            if f != c:
+            if f != c and f < cols:
                 free[f][c] = -a
-    return Subspace._from_rows(m.cols, list(free.values()))
+    return Subspace._from_rows(cols, list(free.values()))
 
 
 def column_space(m):
@@ -194,6 +199,14 @@ def column_space(m):
 
 def solve(m, b):
     """Some x with M x = b, or None when b is outside the column span."""
+    solved = _solve_rref(m, b)
+    return None if solved is None else solved[0]
+
+
+def _solve_rref(m, b):
+    """(x, pivots, reduced): x solves M x = b, and the RREF of [M | b]
+    restricted to M's columns is the RREF of M.  None when b is outside
+    the column span."""
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length %d != %d rows" % (len(b), m.rows))
     aug = []
@@ -209,7 +222,7 @@ def solve(m, b):
     x = [ZERO] * m.cols
     for c, row in zip(pivots, reduced):
         x[c] = row.get(m.cols, ZERO)
-    return x
+    return x, pivots, reduced
 
 
 class Subspace:
@@ -405,12 +418,14 @@ def min_norm_solve(m, b, weights=None):
     """Minimum-norm solution of M x = b in the weighted inner product.
 
     Returns None when the system is inconsistent.  Deterministic: the
-    particular solution from row reduction is projected off the kernel.
+    particular solution from row reduction is projected off the kernel,
+    which is read off the same reduction.
     """
-    x0 = solve(m, b)
-    if x0 is None:
+    solved = _solve_rref(m, b)
+    if solved is None:
         return None
-    ker = kernel_basis(m)
+    x0, pivots, reduced = solved
+    ker = _kernel(m.cols, pivots, reduced)
     if ker.dim == 0:
         return x0
     p = orthogonal_project(ker, x0, weights)

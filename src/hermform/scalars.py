@@ -1,24 +1,38 @@
 """Exact Gaussian-rational arithmetic.
 
-All coefficient arithmetic in the engine happens over Q(i): numbers
-a + b*i with arbitrary-precision rational a, b.  fractions.Fraction keeps
-both parts canonically reduced, so equality and hashing are structural.
+All coefficient arithmetic in the engine happens over Q(i).  A value
+(a + b*i)/d is stored as three Python ints with d > 0 and
+gcd(a, b, d) = 1.  That form is canonical, so equality and hashing are
+structural.  An operation does at most one gcd, and none when both
+operands have d = 1; `re` and `im` give the two parts as Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 
 class GaussianRational:
-    """a + b*i with exact rational a, b.  Immutable and hashable."""
+    """(a + b*i)/d with exact rational parts.  Immutable and hashable."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            # over the lcm of two reduced denominators no prime divides
+            # a, b and d at once, so the triple is already canonical
+            dr, di = re.denominator, im.denominator
+            d = dr * di // gcd(dr, di)
+            a = re.numerator * (d // dr)
+            b = im.numerator * (d // di)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -31,73 +45,98 @@ class GaussianRational:
             return value
         return cls(value)
 
+    # -- parts ----------------------------------------------------------
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
+
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):
-        return not self.re and not self.im
+        return self._a == 0 and self._b == 0
 
     def is_real(self):
-        return not self.im
+        return self._b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        return _sum(self, other._a, other._b, other._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        return _sum(self, -other._a, -other._b, other._d)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        return GaussianRational.of(other) - self
 
     def __mul__(self, other):
-        other = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        d = self._d * other._d
+        if d == 1:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = GaussianRational.of(other)
-        n = other.re * other.re + other.im * other.im
+        if type(other) is not GaussianRational:
+            other = GaussianRational.of(other)
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        n = a2 * a2 + b2 * b2
         if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i) / (a2^2 + b2^2)
+        d2 = other._d
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2,
+                        self._d * n)
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def norm_sq(self):
         """|z|^2, a nonnegative Fraction."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
-        try:
-            other = GaussianRational.of(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not GaussianRational:
+            if type(other) is int:
+                return self._b == 0 and self._d == 1 and self._a == other
+            try:
+                other = GaussianRational.of(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+        return (self._a == other._a and self._b == other._b
+                and self._d == other._d)
 
     def __hash__(self):
+        # hash(Fraction(n)) == hash(n), so both branches are hash((re, im))
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- display ------------------------------------------------------
@@ -106,12 +145,51 @@ class GaussianRational:
         return "GaussianRational(%r, %r)" % (str(self.re), str(self.im))
 
     def __str__(self):
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return _imag_str(self.im)
-        sign = "+" if self.im > 0 else "-"
-        return "%s%s%s" % (self.re, sign, _imag_str(abs(self.im)))
+        re, im = self.re, self.im
+        if not im:
+            return str(re)
+        if not re:
+            return _imag_str(im)
+        sign = "+" if im > 0 else "-"
+        return "%s%s%s" % (re, sign, _imag_str(abs(im)))
+
+
+_new = object.__new__
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a, b, d):
+    """(a + b*i)/d from ints already in canonical form."""
+    z = _new(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(a, b, d):
+    """(a + b*i)/d from ints with d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return _make(a // g, b // g, d // g)
+    return _make(a, b, d)
+
+
+def _sum(z, a, b, d):
+    """z + (a + b*i)/d for a canonical triple (a, b, d)."""
+    dz = z._d
+    if dz == d:
+        if d == 1:
+            return _make(z._a + a, z._b + b, 1)
+        return _reduced(z._a + a, z._b + b, d)
+    # adding a Gaussian integer keeps gcd(a, b, d) = 1
+    if d == 1:
+        return _make(z._a + a * dz, z._b + b * dz, dz)
+    if dz == 1:
+        return _make(z._a * d + a, z._b * d + b, d)
+    return _reduced(z._a * d + a * dz, z._b * d + b * dz, dz * d)
 
 
 def _imag_str(b):

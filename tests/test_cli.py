@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from hermform import linalg
 from hermform.cli import paper_notation, run
 from hermform.catalog import engine_for, load
 from hermform.obstructions import torus_table
@@ -131,6 +132,22 @@ def test_missing_model_is_user_error():
     assert "needs --model or --file" in err
     code, _, _ = invoke(["cohomology", "--model", "no-such-model"])
     assert code == 1
+
+
+@pytest.mark.parametrize("fault", (ArithmeticError("Gram matrix is singular"),
+                                   ZeroDivisionError("division by zero"),
+                                   KeyError((1, 0)), IndexError("index"),
+                                   linalg.DimensionMismatch("lengths")))
+def test_internal_fault_exits_2_without_traceback(monkeypatch, fault):
+    def broken(self, v):
+        raise fault
+    monkeypatch.setattr(linalg.Projector, "coefficients", broken)
+    code, out, err = invoke(["massey", "--model", "iwasawa", "--a", "p1*p2",
+                             "--b", "q1*q2", "--c", "q1*q2"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(fault) in err
 
 
 def test_paper_notation_utf8_and_ascii():

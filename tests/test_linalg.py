@@ -125,6 +125,35 @@ def test_min_norm_solution_is_minimal_and_deterministic():
             assert inner(x, k, weights).is_zero()
 
 
+def test_min_norm_solve_matches_two_reduction_reference():
+    """One reduction of [M | b] gives the same potential as solving and
+    taking the kernel of M apart, then projecting off the kernel."""
+    def reference(m, b, weights):
+        x0 = solve(m, b)
+        if x0 is None:
+            return None
+        ker = kernel_basis(m)
+        if ker.dim == 0:
+            return x0
+        p = orthogonal_project(ker, x0, weights)
+        return [a - c for a, c in zip(x0, p)]
+
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = rand_matrix(rng, rows, cols, density=0.5)
+        weights = [Fraction(rng.randint(1, 5), rng.randint(1, 5))
+                   for _ in range(cols)]
+        b = (m.mul_vec(rand_vec(rng, cols)) if rng.random() < 0.8
+             else rand_vec(rng, rows))
+        want = reference(m, b, weights)
+        assert min_norm_solve(m, b, weights) == want
+        kinds.add("none" if want is None
+                  else "unique" if not kernel_basis(m).dim else "projected")
+    assert kinds == {"none", "unique", "projected"}
+
+
 def test_dimension_mismatch_raised():
     with pytest.raises(DimensionMismatch):
         Matrix(2, 2).mul_vec([ONE])

@@ -1,5 +1,6 @@
 """Gaussian-rational arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -77,3 +78,115 @@ def test_str_roundtrip():
     for _ in range(100):
         a = rand_scalar(rng)
         assert parse_scalar(str(a)) == a
+
+
+# -- differential test against a pair-of-Fractions reference -------------
+
+def ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n)
+
+
+def ref_str(x):
+    def imag(b):
+        return {1: "i", -1: "-i"}.get(b, "%si" % b)
+    re, im = x
+    if not im:
+        return str(re)
+    if not re:
+        return imag(im)
+    return "%s%s%s" % (re, "+" if im > 0 else "-", imag(abs(im)))
+
+
+def rand_part(rng):
+    """A Fraction that is zero, small, an integer, or has a numerator and
+    a denominator above 2**64."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    big = 2 ** rng.randint(65, 130)
+    return Fraction(rng.randint(-big, big), rng.randint(1, big))
+
+
+def rand_pair(rng):
+    kind = rng.randrange(4)
+    re = Fraction(0) if kind == 1 else rand_part(rng)
+    im = Fraction(0) if kind == 2 else rand_part(rng)
+    return re, im
+
+
+def assert_matches(z, ref):
+    assert isinstance(z, GaussianRational)
+    assert (z.re, z.im) == ref
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    # canonical (a + b i)/d
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+
+
+def test_differential_against_fraction_pairs():
+    rng = random.Random(101)
+    checked = 0
+    for _ in range(400):
+        x, y = rand_pair(rng), rand_pair(rng)
+        a, b = GaussianRational(*x), GaussianRational(*y)
+        assert_matches(a, x)
+        assert_matches(a + b, (x[0] + y[0], x[1] + y[1]))
+        assert_matches(a - b, (x[0] - y[0], x[1] - y[1]))
+        assert_matches(a * b, ref_mul(x, y))
+        assert_matches(-a, (-x[0], -x[1]))
+        assert_matches(a.conjugate(), (x[0], -x[1]))
+        assert a.norm_sq() == x[0] * x[0] + x[1] * x[1]
+        assert isinstance(a.norm_sq(), Fraction)
+        if y != (0, 0):
+            assert_matches(a / b, ref_div(x, y))
+            checked += 1
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        # mixed with int and Fraction, from either side
+        k, f = rng.randint(-5, 5), rand_part(rng)
+        assert_matches(a + k, (x[0] + k, x[1]))
+        assert_matches(k - a, (k - x[0], -x[1]))
+        assert_matches(f * a, (f * x[0], f * x[1]))
+        if x != (0, 0):
+            assert_matches(f / a, ref_div((f, Fraction(0)), x))
+        # equality against GaussianRational, int and Fraction
+        assert (a == b) == (x == y)
+        assert a == GaussianRational(*x)
+        assert (a == k) == (x == (k, 0)) and (a != k) == (x != (k, 0))
+        assert (a == x[0]) == (x[1] == 0)
+        assert (a == f) == (x == (f, 0))
+        assert hash(a) == hash(x)
+        assert bool(a) == (x != (0, 0))
+        assert a.is_zero() == (x == (0, 0)) and a.is_real() == (x[1] == 0)
+        assert str(a) == ref_str(x)
+        assert repr(a) == "GaussianRational(%r, %r)" % (str(x[0]), str(x[1]))
+        assert parse_scalar(str(a)) == a
+    assert checked > 300
+
+
+def test_constructor_takes_what_fraction_takes():
+    assert hash(GaussianRational(Fraction(4, 2), 0)) == hash((2, 0))
+    assert GaussianRational(Fraction(6, 4), Fraction(-3, 9)) == \
+        GaussianRational(Fraction(3, 2), Fraction(-1, 3))
+    assert {GaussianRational(Fraction(1, 2), 1): 1}[
+        GaussianRational(1) / 2 + I] == 1
+    assert GaussianRational("3/6", 0.5) == GaussianRational(
+        Fraction(1, 2), Fraction(1, 2))
+    assert (ONE == "x") is False and (ONE != None) is True
+
+
+def test_every_attribute_is_read_only():
+    a = GaussianRational(1, 2)
+    for name in ("re", "im", "_a", "_b", "_d", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
+    assert a == GaussianRational(1, 2)
