@@ -203,3 +203,18 @@ def test_pinned_formality_and_massey_output():
                            "--b", "q1*q2", "--c", "q1*q2", "--ascii"])
     assert code == 0
     assert out == MASSEY_IWASAWA
+
+
+# The only catalog witness that comes from the del/dbar-closure pass of
+# the ABC check rather than from a product.
+FORMALITY_CE_1_2_ABC = (
+    'geom_abc: no\n'
+    '  witness: (phib*w2 - i*phib*w1) ^ (1) violates del-closure\n'
+)
+
+
+def test_pinned_abc_closure_witness():
+    code, out, _ = invoke(["formality", "--model", "ce:u=1,v=2",
+                           "--notion", "abc", "--ascii"])
+    assert code == 0
+    assert out == FORMALITY_CE_1_2_ABC
