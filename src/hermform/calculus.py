@@ -42,6 +42,11 @@ def _theory(name):
     return THEORY[name]
 
 
+def _total(theory):
+    """Whether the theory is graded by total degree rather than bidegree."""
+    return len(SHIFT[_theory(theory).closed[0]]) == 1
+
+
 def _source(degree, op):
     """The degree op maps into `degree` from, or None below zero."""
     src = tuple(a - b for a, b in zip(degree, SHIFT[op]))
@@ -83,6 +88,9 @@ def apply_derivation(spec, assignments, form):
     return out
 
 
+_UNIT_WEIGHT = Fraction(1)
+
+
 class InnerProduct:
     """Diagonal Hermitian metric: positive rational weight per monomial.
 
@@ -100,7 +108,8 @@ class InnerProduct:
             self.weights[tuple(mono)] = w
 
     def weight(self, mono):
-        return self.weights.get(tuple(mono), Fraction(1))
+        """Weight of a basis monomial (an exponent tuple)."""
+        return self.weights.get(mono, _UNIT_WEIGHT)
 
 
 class HarmonicBasis:
@@ -172,6 +181,7 @@ class HodgeEngine:
         self.ip = inner_product or InnerProduct()
         self.filter = monomial_filter
         self._basis = {}
+        self._index = {}
         self._weight_scalars = {}
         self._matrix = {}
         self._adjoint = {}
@@ -199,6 +209,22 @@ class HodgeEngine:
             self._basis[degree] = monos
         return self._basis[degree]
 
+    def index(self, *degree):
+        """Position of each basis monomial of the degree, built once."""
+        if degree not in self._index:
+            self._index[degree] = {m: i for i, m
+                                   in enumerate(self.basis(*degree))}
+        return self._index[degree]
+
+    def degrees(self, theory):
+        """Degrees of the theory's grading with a nonempty basis, in
+        increasing order: (k,) for de Rham, (p, q) otherwise."""
+        if _total(theory):
+            candidates = [(k,) for k in range(2 * self.spec.n + 1)]
+        else:
+            candidates = self.spec.bidegrees()
+        return [d for d in candidates if self.basis(*d)]
+
     def _blocks(self, k):
         """(bidegree, offset) of each bidegree inside total degree k."""
         out, offset = [], 0
@@ -223,9 +249,8 @@ class HodgeEngine:
 
     def coords(self, form, *degree):
         """Coefficient vector of form on the degree's basis."""
-        basis = self.basis(*degree)
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [ZERO] * len(basis)
+        index = self.index(*degree)
+        vec = [ZERO] * len(index)
         for m, c in form.components.items():
             if m not in index:
                 raise ModelError("form outside the %s subcomplex basis"
@@ -236,7 +261,7 @@ class HodgeEngine:
     def _degree(self, theory, form):
         """Degree of form in the theory's grading, None unless homogeneous."""
         degrees = {self.spec.monomial_bidegree(m) for m in form.components}
-        if len(SHIFT[_theory(theory).closed[0]]) == 1:  # total degree
+        if _total(theory):
             degrees = {(p + q,) for p, q in degrees}
         return degrees.pop() if len(degrees) == 1 else None
 
@@ -276,9 +301,8 @@ class HodgeEngine:
                             out[col + j] = a
             return mat
         src = self.basis(*degree)
-        dst = self.basis(*(a + b for a, b in zip(degree, SHIFT[op])))
-        index = {m: i for i, m in enumerate(dst)}
-        mat = Matrix(len(dst), len(src))
+        index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
+        mat = Matrix(len(index), len(src))
         for j, mono in enumerate(src):
             image = self._derive(op, self.spec.monomial_form(mono))
             for m, c in image.components.items():
@@ -369,7 +393,7 @@ class HodgeEngine:
         dual = ((2 * n - degree[0],) if len(degree) == 1
                 else (n - degree[0], n - degree[1]))
         fwd = self.matrix(op, *dual)
-        index = {m: i for i, m in enumerate(self.basis(*dual))}
+        index = self.index(*dual)
         src = self.basis(*degree)
         column = {}
         for j, mono in enumerate(src):
@@ -420,12 +444,18 @@ class HodgeEngine:
 
     def is_harmonic(self, theory, form):
         """Whether form lies in the harmonic space of its degree."""
+        return self.in_space(
+            theory, form,
+            lambda *degree: self.harmonic_space(theory, *degree).space)
+
+    def in_space(self, theory, form, space_at):
+        """Whether form lies in the Subspace space_at(*degree) of its
+        degree in the theory's grading.  Zero lies in every space; a form
+        spread over several degrees in none."""
         if form.is_zero():
             return True
         degree = self._degree(theory, form)
-        if degree is None:
-            return False
-        return self.harmonic_space(theory, *degree).space.contains(
+        return degree is not None and space_at(*degree).contains(
             self.coords(form, *degree))
 
     # -- quotient dimensions (the inner-product-free oracle) -----------

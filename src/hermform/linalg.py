@@ -10,8 +10,6 @@ conjugate-linear in the second argument throughout.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .scalars import GaussianRational, ZERO, ONE
 
 
@@ -19,8 +17,15 @@ class DimensionMismatch(ValueError):
     """Ambient dimensions of two operands disagree."""
 
 
-def _as_scalar(x):
-    return GaussianRational.of(x)
+def _sparse(v):
+    """Nonzero entries of a dense vector as a sparse row dict, each
+    entry coerced to a scalar once."""
+    row = {}
+    for j, a in enumerate(v):
+        a = GaussianRational.of(a)
+        if a:
+            row[j] = a
+    return row
 
 
 class Matrix:
@@ -47,20 +52,10 @@ class Matrix:
             else:
                 items = enumerate(row)
             for j, v in items:
-                v = _as_scalar(v)
+                v = GaussianRational.of(v)
                 if v:
                     m.data[i][j] = v
         return m
-
-    def set(self, i, j, value):
-        value = _as_scalar(value)
-        if value:
-            self.data[i][j] = value
-        else:
-            self.data[i].pop(j, None)
-
-    def get(self, i, j):
-        return self.data[i].get(j, ZERO)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -212,7 +207,7 @@ def _solve_rref(m, b):
     aug = []
     for i, row in enumerate(m.data):
         r = dict(row)
-        bi = _as_scalar(b[i])
+        bi = GaussianRational.of(b[i])
         if bi:
             r[m.cols] = bi
         aug.append(r)
@@ -242,7 +237,7 @@ class Subspace:
             if len(v) != ambient:
                 raise DimensionMismatch("vector length %d != ambient %d"
                                         % (len(v), ambient))
-            row = {j: _as_scalar(a) for j, a in enumerate(v) if _as_scalar(a)}
+            row = _sparse(v)
             if row:
                 rows.append(row)
         self._pivots, self._rref = _row_echelon(rows, ambient)
@@ -269,11 +264,18 @@ class Subspace:
     def dim(self):
         return len(self._rref)
 
-    def _reduce(self, v):
-        row = {j: _as_scalar(a) for j, a in enumerate(v) if _as_scalar(a)}
-        for c, piv in zip(self._pivots, self._rref):
+    def _reduce(self, v, coords=None):
+        """Residual of v after clearing every pivot column, as a sparse
+        row; the multiple of each basis row cleared goes into coords."""
+        if len(v) != self.ambient:
+            raise DimensionMismatch("vector length %d != ambient %d"
+                                    % (len(v), self.ambient))
+        row = _sparse(v)
+        for k, (c, piv) in enumerate(zip(self._pivots, self._rref)):
             a = row.get(c)
             if a is not None:
+                if coords is not None:
+                    coords[k] = a
                 for j, b in piv.items():
                     val = row.get(j, ZERO) - a * b
                     if val:
@@ -283,28 +285,12 @@ class Subspace:
         return row
 
     def contains(self, v):
-        if len(v) != self.ambient:
-            raise DimensionMismatch("vector length %d != ambient %d"
-                                    % (len(v), self.ambient))
         return not self._reduce(v)
 
     def coordinates(self, v):
         """Coefficients of v on self.basis, or None if v is outside."""
-        if not self.contains(v):
-            return None
         coords = [ZERO] * self.dim
-        row = {j: _as_scalar(a) for j, a in enumerate(v) if _as_scalar(a)}
-        for k, (c, piv) in enumerate(zip(self._pivots, self._rref)):
-            a = row.get(c)
-            if a is not None:
-                coords[k] = a
-                for j, b in piv.items():
-                    val = row.get(j, ZERO) - a * b
-                    if val:
-                        row[j] = val
-                    else:
-                        row.pop(j, None)
-        return coords
+        return None if self._reduce(v, coords) else coords
 
     def combine(self, coords):
         """The vector with the given coefficients on self.basis."""

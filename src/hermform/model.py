@@ -144,10 +144,6 @@ class ModelSpec:
                 q += e * g.bidegree[1]
         return (p, q)
 
-    def monomial_degree(self, mono):
-        p, q = self.monomial_bidegree(mono)
-        return p + q
-
     def basis(self, p, q):
         """All truncation-respecting monomials of bidegree (p, q), in
         lexicographic order of exponent vectors."""
@@ -327,20 +323,6 @@ class Form:
                 out[cmono] = v
         return Form(spec, out)
 
-    # -- coordinates --------------------------------------------------
-
-    def coordinates(self, p, q):
-        """Coefficient vector on the (p, q) monomial basis."""
-        basis = self.spec.basis(p, q)
-        index = _basis_index(self.spec, p, q)
-        vec = [ZERO] * len(basis)
-        for m, c in self.components.items():
-            if self.spec.monomial_bidegree(m) != (p, q):
-                raise ModelError("form has a component outside bidegree (%d,%d)"
-                                 % (p, q))
-            vec[index[m]] = c
-        return vec
-
     def component_of_bidegree(self, p, q):
         return Form(self.spec,
                     {m: c for m, c in self.components.items()
@@ -368,14 +350,6 @@ class Form:
 
     def __repr__(self):
         return "Form(%s)" % self.pretty(ascii_only=True)
-
-
-def _basis_index(spec, p, q):
-    key = ("idx", p, q)
-    cache = spec._basis_cache
-    if key not in cache:
-        cache[key] = {m: i for i, m in enumerate(spec.basis(p, q))}
-    return cache[key]
 
 
 def _merge_monomials(spec, ma, mb):

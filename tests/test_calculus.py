@@ -98,7 +98,7 @@ def test_star_pairing_identity():
         a = rand_form(spec, rng, p, q)
         b = rand_form(spec, rng, p, q)
         lhs = a.wedge(engine.star(b))
-        ip = inner(a.coordinates(p, q), b.coordinates(p, q),
+        ip = inner(engine.coords(a, p, q), engine.coords(b, p, q),
                    engine.weights(p, q))
         assert lhs.equals(vol * ip)
 
@@ -118,7 +118,7 @@ def test_weighted_star_pairing():
         p, q = bids[rng.randrange(len(bids))]
         a = rand_form(spec, rng, p, q)
         b = rand_form(spec, rng, p, q)
-        ip = inner(a.coordinates(p, q), b.coordinates(p, q),
+        ip = inner(engine.coords(a, p, q), engine.coords(b, p, q),
                    engine.weights(p, q))
         assert a.wedge(engine.star(b)).equals(vol * ip)
 

@@ -85,21 +85,6 @@ def test_holomorphic_obstruction_abelian_vs_not(torus2, iwasawa):
     assert not iwasawa._derive("del", f).is_zero()
 
 
-def test_ddbar_p0_report(torus2, iwasawa):
-    report = formality.ddbar_p0_report(torus2)
-    assert set(report) == set(range(torus2.spec.n + 1))
-    for entry in report.values():
-        assert all(entry.values())
-    # Iwasawa: p3 is dbar-closed but not del-closed, so the Bott-Chern
-    # edge space at (1,0) is strictly smaller than the Dolbeault one
-    report = formality.ddbar_p0_report(iwasawa)
-    assert not report[1]["bc_p0_eq_dbar"]
-    assert not report[1]["bc_0p_eq_del"]
-    dims_match = (iwasawa.harmonic_space("bott_chern", 1, 0).dim
-                  == iwasawa.harmonic_space("dolbeault", 1, 0).dim)
-    assert not dims_match
-
-
 def test_unknown_notion_rejected(torus2):
     with pytest.raises(ValueError):
         check_formality(torus2, "geom_unknown")
