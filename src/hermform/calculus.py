@@ -36,9 +36,13 @@ THEORY = {
 }
 
 
+class UnknownTheoryError(ValueError):
+    """A theory name outside THEORY."""
+
+
 def _theory(name):
     if name not in THEORY:
-        raise ValueError("unknown theory %r" % name)
+        raise UnknownTheoryError("unknown theory %r" % name)
     return THEORY[name]
 
 
@@ -85,6 +89,41 @@ def apply_derivation(spec, assignments, form):
                     term = term.wedge(spec.monomial_form(right))
                     out = out + term
                 parity += e * (1 if gens[i].odd else 0)
+    return out
+
+
+def _derive_monomial(spec, assignments, mono):
+    """apply_derivation on one basis monomial, as {monomial: coeff}: the
+    same Leibniz sum, with each product taken by _merge_monomials and no
+    Form built."""
+    gens = spec.generators
+    out = {}
+    parity = 0
+    for i, e in enumerate(mono):
+        if not e:
+            continue
+        g = gens[i]
+        target = assignments.get(g.name)
+        if target is not None:
+            left = mono[:i] + (e - 1,) + (0,) * (len(gens) - i - 1)
+            right = (0,) * (i + 1) + mono[i + 1:]
+            negate = (parity + (e - 1) * g.odd) % 2
+            for mt, ct in target.components.items():
+                m, s1 = _merge_monomials(spec, left, mt)
+                if m is None:
+                    continue
+                m, s2 = _merge_monomials(spec, m, right)
+                if m is None:
+                    continue
+                c = ct * e
+                if negate ^ (s1 != s2):
+                    c = -c
+                v = out.get(m, ZERO) + c
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        parity += e * g.odd
     return out
 
 
@@ -189,6 +228,7 @@ class HodgeEngine:
         self._harmonic = {}
         self._dim = {}
         self._projection = {}
+        self._product = {}
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
         self._validate_squares()
@@ -247,16 +287,30 @@ class HodgeEngine:
                                             [inverse[x] for x in ws])
         return self._weight_scalars[degree]
 
+    def row(self, components, *degree):
+        """Coefficients {monomial: scalar} on the degree's basis as a
+        sparse row {position: scalar}."""
+        index = self.index(*degree)
+        try:
+            return {index[m]: c for m, c in components.items()}
+        except KeyError:
+            raise ModelError("form outside the %s subcomplex basis"
+                             % _label(degree)) from None
+
     def coords(self, form, *degree):
         """Coefficient vector of form on the degree's basis."""
-        index = self.index(*degree)
-        vec = [ZERO] * len(index)
-        for m, c in form.components.items():
-            if m not in index:
-                raise ModelError("form outside the %s subcomplex basis"
-                                 % _label(degree))
-            vec[index[m]] = c
+        vec = [ZERO] * len(self.index(*degree))
+        for j, c in self.row(form.components, *degree).items():
+            vec[j] = c
         return vec
+
+    def product(self, ma, mb):
+        """(monomial, +-1) with ma * mb = +-monomial, or (None, 0) when
+        the product vanishes; memoised per engine."""
+        key = (ma, mb)
+        if key not in self._product:
+            self._product[key] = _merge_monomials(self.spec, ma, mb)
+        return self._product[key]
 
     def _degree(self, theory, form):
         """Degree of form in the theory's grading, None unless homogeneous."""
@@ -302,10 +356,12 @@ class HodgeEngine:
             return mat
         src = self.basis(*degree)
         index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
+        assignments = (self.spec.del_assignments if op == "del"
+                       else self.spec.dbar_assignments)
         mat = Matrix(len(index), len(src))
         for j, mono in enumerate(src):
-            image = self._derive(op, self.spec.monomial_form(mono))
-            for m, c in image.components.items():
+            image = _derive_monomial(self.spec, assignments, mono)
+            for m, c in image.items():
                 if m not in index:
                     raise AssemblyError(
                         "%s image leaves the subcomplex at %s" % (op, mono))
@@ -455,8 +511,8 @@ class HodgeEngine:
         if form.is_zero():
             return True
         degree = self._degree(theory, form)
-        return degree is not None and space_at(*degree).contains(
-            self.coords(form, *degree))
+        return degree is not None and space_at(*degree).contains_row(
+            self.row(form.components, *degree))
 
     # -- quotient dimensions (the inner-product-free oracle) -----------
 

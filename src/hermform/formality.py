@@ -1,18 +1,37 @@
-"""Geometric-formality decisions by exhaustive harmonic-basis products.
+"""Geometric-formality decisions by products of harmonic bases.
 
 Each notion asks that wedge products of harmonic forms stay inside the
-relevant harmonic space.  SWEEPS records, per notion, the left factors,
-the right factors and the target space, and one sweep decides them all.
-It runs over explicit bases, so by bilinearity a clean sweep decides the
-notion for the whole space; the first violation in canonical order
-becomes the witness.
+relevant harmonic space.  SWEEPS records, per notion, the left factors
+L, the right factors R and the target space T; in every notion T = L.
+Products of basis forms are taken as sparse coordinate rows through the
+engine's monomial product table, and a Form is built only for a witness.
+
+A true verdict needs only |L|·|S| products, for a set S of basis forms
+of R built going up in total degree: S takes each basis form of R that
+the products r·s, r in R of lower positive degree and s in S, do not
+span.  Then (ii) R lies in alg(S), the span of the unit and the words
+in S.  If also (i) every l·s, l in L and s in S, lies in T, then
+L·R ⊆ T, by induction on word length: l·(s₁…s_k) = (l·s₁…s_{k−1})·s_k,
+where l·s₁…s_{k−1} lies in T = L.  Dolbeault, Bott-Chern, de Rham and
+ABC have L = R = T, so the products of (i) are those of (ii).  For the
+Aeppli module condition ℋ_A·ℋ_BC ⊆ ℋ_A, S generates ℋ_BC, the products
+r·s of (ii) are only spanned, and (i) asks ℋ_A·S ⊆ ℋ_A.  The induction
+needs degree 0 to hold only the unit.
+
+Every false verdict and every witness comes from the canonical scan
+instead: all pairs of basis forms, degree pairs then basis pairs, whose
+first product outside T is the witness.  It runs when degree 0 holds
+more than the unit, and when (i) fails.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .linalg import Subspace
+from .calculus import SHIFT, AssemblyError
+from .linalg import Subspace, independent_rows, kernel_basis
+from .model import Form
+from .scalars import ZERO
 
 # A notion holds when every product of a left basis form with a right
 # basis form lies in the target space.  A space is named by its theory,
@@ -36,6 +55,10 @@ NOTIONS = tuple(SWEEPS)
 
 CN_NOTE = ("pointwise-constant norms hold automatically for invariant "
            "forms on the model")
+
+
+class UnknownNotionError(ValueError):
+    """A formality notion outside SWEEPS."""
 
 
 class Witness:
@@ -62,33 +85,49 @@ class FormalityReport:
         return "FormalityReport(%s, %s)" % (self.notion, self.verdict)
 
 
+# One space at one degree.  `space` is its Subspace; `forms` and `rows`
+# are the basis the canonical scan walks, as Forms and as sparse rows
+# {position: scalar}; `span` is the RREF basis of `space`.  A theory's
+# harmonic space has one basis for both; "abc" walks the forms of ℋ_A
+# then those of ℋ_BC, which on a torus repeat each form.
+Space = namedtuple("Space", ["space", "forms", "rows", "span"])
+
+
 class _Spaces:
-    """The spaces a sweep reads, by name and degree, as (Subspace, forms):
-    a theory's harmonic space, or "abc", the per-bidegree span
-    ℋ_A + ℋ_BC with the forms of both bases.  Built on first use."""
+    """The spaces a check reads, by name and degree, built on first use;
+    each row also comes as (monomial, scalar) terms for products."""
 
     def __init__(self, engine):
         self.engine = engine
-        self._abc = {}
+        self._spaces = {}
+        self._terms = {}
 
     def get(self, name, degree):
+        key = (name, degree)
+        if key not in self._spaces:
+            self._spaces[key] = self._build(name, degree)
+        return self._spaces[key]
+
+    def _build(self, name, degree):
         if name != "abc":
             h = self.engine.harmonic_space(name, *degree)
-            return h.space, h.forms
-        if degree not in self._abc:
-            a = self.engine.harmonic_space("aeppli", *degree)
-            bc = self.engine.harmonic_space("bott_chern", *degree)
-            self._abc[degree] = (
-                Subspace(a.space.ambient, a.space.basis + bc.space.basis),
-                a.forms + bc.forms)
-        return self._abc[degree]
+            return Space(h.space, h.forms, h.space._rref, h.space._rref)
+        a = self.engine.harmonic_space("aeppli", *degree)
+        bc = self.engine.harmonic_space("bott_chern", *degree)
+        rows = a.space._rref + bc.space._rref
+        span = Subspace._from_rows(a.space.ambient, [dict(r) for r in rows])
+        return Space(span, a.forms + bc.forms, rows, span._rref)
 
-    def forms(self, name, degree):
-        return self.get(name, degree)[1]
-
-    def contains(self, name, form):
-        return self.engine.in_space(_grading(name), form,
-                                    lambda *degree: self.get(name, degree)[0])
+    def terms(self, name, degree, which):
+        """The rows of get(name, degree).`which` as (monomial, scalar)
+        lists."""
+        key = (name, degree, which)
+        if key not in self._terms:
+            basis = self.engine.basis(*degree)
+            self._terms[key] = [[(basis[j], c) for j, c in row.items()]
+                                for row in getattr(self.get(name, degree),
+                                                   which)]
+        return self._terms[key]
 
 
 def _grading(name):
@@ -96,24 +135,95 @@ def _grading(name):
     return "aeppli" if name == "abc" else name
 
 
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _times(engine, a, b, degree):
+    """The product of two (monomial, scalar) lists as a sparse row on
+    the degree's basis."""
+    product = engine.product
+    out = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            m, sign = product(ma, mb)
+            if m is None:
+                continue
+            c = ca * cb
+            v = out.get(m, ZERO) + (c if sign > 0 else -c)
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    return engine.row(out, *degree)
+
+
+def _generator_set(spaces, sweep):
+    """(holds, S) for the argument in the module docstring.  holds is
+    True when (i) and (ii) hold, with S as (degree, position in the right
+    space's `span`) pairs; False when a product of (i) leaves the target;
+    None when degree 0 holds more than the unit."""
+    engine = spaces.engine
+    degrees = engine.degrees(_grading(sweep.target))
+    zero = (0,) * len(degrees[0])
+    if engine.basis(*zero) != [(0,) * len(engine.spec.generators)]:
+        return None, []
+    present = set(degrees)
+    positive = sorted((d for d in degrees if d != zero), key=sum)
+    same = sweep.left == sweep.right
+    # for (ii): the products r·s landing at each degree, as sparse rows
+    spanned = {d: [] for d in positive}
+    found = []
+    for degree in positive:
+        right = spaces.get(sweep.right, degree).span
+        kept = independent_rows(spanned.pop(degree), right)
+        found.extend((degree, k) for k in kept)
+        gens = spaces.terms(sweep.right, degree, "span")
+        for other in degrees:
+            total = _add(other, degree)
+            if total not in present or (same and other == zero):
+                continue
+            target = spaces.get(sweep.target, total).space
+            lefts = spaces.terms(sweep.left, other, "span")
+            for k in kept:
+                for a in lefts:
+                    row = _times(engine, a, gens[k], total)
+                    if row and not target.contains_row(row):
+                        return False, found
+                    if same and row:
+                        spanned[total].append(row)
+            if not same and other != zero:
+                for r in spaces.terms(sweep.right, other, "span"):
+                    for k in kept:
+                        row = _times(engine, r, gens[k], total)
+                        if row:
+                            spanned[total].append(row)
+    return True, found
+
+
 def _first_violation(spaces, sweep):
     """First pair of basis forms, degree pairs then basis pairs in
     canonical order, whose product leaves the target space; None after a
-    clean sweep.  Degree pairs whose sum has no basis are skipped: every
+    clean scan.  Degree pairs whose sum has no basis are skipped: every
     product there is zero."""
-    degrees = spaces.engine.degrees(_grading(sweep.target))
+    engine = spaces.engine
+    degrees = engine.degrees(_grading(sweep.target))
     present = set(degrees)
     for left in degrees:
         for right in degrees:
-            if tuple(a + b for a, b in zip(left, right)) not in present:
+            total = _add(left, right)
+            if total not in present:
                 continue
-            lefts = spaces.forms(sweep.left, left)
-            rights = spaces.forms(sweep.right, right) if lefts else ()
-            for a in lefts:
-                for b in rights:
-                    prod = a.wedge(b)
-                    if not spaces.contains(sweep.target, prod):
-                        return Witness(a, b, sweep.equation, prod)
+            lefts = spaces.terms(sweep.left, left, "rows")
+            rights = spaces.terms(sweep.right, right, "rows") if lefts else ()
+            for i, a in enumerate(lefts):
+                for k, b in enumerate(rights):
+                    row = _times(engine, a, b, total)
+                    if row and not spaces.get(
+                            sweep.target, total).space.contains_row(row):
+                        f = spaces.get(sweep.left, left).forms[i]
+                        g = spaces.get(sweep.right, right).forms[k]
+                        return Witness(f, g, sweep.equation, f.wedge(g))
     return None
 
 
@@ -122,23 +232,34 @@ def _closure_violation(spaces):
     bidegree order then basis order, as a witness paired with 1."""
     engine = spaces.engine
     for degree in engine.degrees("aeppli"):
-        for f in spaces.forms("abc", degree):
+        abc = spaces.get("abc", degree)
+        for f, row in zip(abc.forms, abc.rows):
             for which in ("del", "dbar"):
-                image = engine._derive(which, f)
-                if not spaces.contains("abc", image):
+                image = engine.matrix(which, *degree).mul_row(row)
+                if image and not spaces.get(
+                        "abc", _add(degree, SHIFT[which])).space.contains_row(
+                            image):
                     return Witness(f, engine.spec.one(),
-                                   "%s-closure" % which, image)
+                                   "%s-closure" % which,
+                                   engine._derive(which, f))
     return None
 
 
 def check_formality(engine, notion):
     """Decide one geometric-formality notion for the engine's metric."""
     if notion not in SWEEPS:
-        raise ValueError("unknown formality notion %r" % notion)
+        raise UnknownNotionError("unknown formality notion %r" % notion)
+    sweep = SWEEPS[notion]
     spaces = _Spaces(engine)
     witness = _closure_violation(spaces) if notion == "geom_abc" else None
     if witness is None:
-        witness = _first_violation(spaces, SWEEPS[notion])
+        holds = _generator_set(spaces, sweep)[0]
+        if not holds:
+            witness = _first_violation(spaces, sweep)
+            if witness is None and holds is False:
+                raise AssemblyError(
+                    "%s: a generator product leaves the target space but "
+                    "the canonical scan finds no violation" % notion)
     if notion != "geom_aeppli":
         return FormalityReport(notion, witness is None, witness)
     # Aeppli also asks ℋ_BC = ℋ_A; the verdict is the conjunction
@@ -161,17 +282,13 @@ def holomorphic_closedness_obstruction(engine):
     Such a witness rules out geometric Bott-Chern formality for EVERY
     inner product on the model, not just the engine's.
     """
-    from .linalg import kernel_basis
-    from .model import Form
-
     for p in range(1, engine.spec.n + 1):
         basis = engine.basis(p, 0)
         if not basis:
             continue
-        ker = kernel_basis(engine.matrix("dbar", p, 0))
-        for v in ker.basis:
-            f = Form(engine.spec, {m: c for m, c in zip(basis, v) if c})
-            if not engine._derive("del", f).is_zero():
-                return f
+        delta = engine.matrix("del", p, 0)
+        for row in kernel_basis(engine.matrix("dbar", p, 0))._rref:
+            if delta.mul_row(row):
+                return Form(engine.spec,
+                            {basis[j]: c for j, c in sorted(row.items())})
     return None
-

@@ -110,6 +110,20 @@ class Matrix:
             out.data[i] = acc
         return out
 
+    def mul_row(self, x):
+        """M x for a sparse column vector x {col: scalar}, as a sparse
+        row {row index: scalar}."""
+        out = {}
+        for i, row in enumerate(self.data):
+            acc = ZERO
+            for j, a in x.items():
+                b = row.get(j)
+                if b is not None:
+                    acc = acc + b * a
+            if acc:
+                out[i] = acc
+        return out
+
     def is_zero(self):
         return all(not row for row in self.data)
 
@@ -162,6 +176,56 @@ def _row_echelon(rows, cols):
         pivots.append(col)
         rows = [r for r in rows if r]
     return pivots, reduced
+
+
+def _residual(row, by_pivot):
+    """What is left of a sparse row after clearing the pivot columns of
+    by_pivot, a map pivot column -> row with 1 there and 0 at every other
+    pivot column.  One pass over the row's own entries suffices: clearing
+    one pivot column leaves the others as they were."""
+    out = dict(row)
+    for c, a in row.items():
+        piv = by_pivot.get(c)
+        if piv is not None:
+            for j, b in piv.items():
+                v = out.get(j, ZERO) - a * b
+                if v:
+                    out[j] = v
+                else:
+                    out.pop(j, None)
+    return out
+
+
+def _extend(by_pivot, row):
+    """Add the row to the fully reduced rows of by_pivot; whether it was
+    outside their span."""
+    row = _residual(row, by_pivot)
+    if not row:
+        return False
+    c = min(row)
+    inv = ONE / row[c]
+    row = {j: a * inv for j, a in row.items()}
+    for other in by_pivot.values():
+        a = other.get(c)
+        if a is not None:
+            for j, b in row.items():
+                v = other.get(j, ZERO) - a * b
+                if v:
+                    other[j] = v
+                else:
+                    other.pop(j, None)
+    by_pivot[c] = row
+    return True
+
+
+def independent_rows(spanning, candidates):
+    """Positions of the candidates that neither the spanning rows nor the
+    candidates kept before them span, in order (sparse rows of one
+    ambient space)."""
+    by_pivot = {}
+    for row in spanning:
+        _extend(by_pivot, row)
+    return [k for k, row in enumerate(candidates) if _extend(by_pivot, row)]
 
 
 def kernel_basis(m):
@@ -228,27 +292,29 @@ class Subspace:
     vectors on demand.
     """
 
-    __slots__ = ("ambient", "_rref", "_pivots")
+    __slots__ = ("ambient", "_rref", "_pivots", "_by_pivot")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
         rows = []
         for v in vectors:
-            if len(v) != ambient:
-                raise DimensionMismatch("vector length %d != ambient %d"
-                                        % (len(v), ambient))
+            self._check_length(v)
             row = _sparse(v)
             if row:
                 rows.append(row)
-        self._pivots, self._rref = _row_echelon(rows, ambient)
+        self._reduce_rows(rows)
 
     @classmethod
     def _from_rows(cls, ambient, rows):
         """Subspace spanned by nonzero sparse row dicts, reduced in place."""
         self = cls.__new__(cls)
         self.ambient = ambient
-        self._pivots, self._rref = _row_echelon(rows, ambient)
+        self._reduce_rows(rows)
         return self
+
+    def _reduce_rows(self, rows):
+        self._pivots, self._rref = _row_echelon(rows, self.ambient)
+        self._by_pivot = dict(zip(self._pivots, self._rref))
 
     @property
     def basis(self):
@@ -264,33 +330,28 @@ class Subspace:
     def dim(self):
         return len(self._rref)
 
-    def _reduce(self, v, coords=None):
-        """Residual of v after clearing every pivot column, as a sparse
-        row; the multiple of each basis row cleared goes into coords."""
+    def _check_length(self, v):
         if len(v) != self.ambient:
             raise DimensionMismatch("vector length %d != ambient %d"
                                     % (len(v), self.ambient))
-        row = _sparse(v)
-        for k, (c, piv) in enumerate(zip(self._pivots, self._rref)):
-            a = row.get(c)
-            if a is not None:
-                if coords is not None:
-                    coords[k] = a
-                for j, b in piv.items():
-                    val = row.get(j, ZERO) - a * b
-                    if val:
-                        row[j] = val
-                    else:
-                        row.pop(j, None)
-        return row
 
     def contains(self, v):
-        return not self._reduce(v)
+        self._check_length(v)
+        return self.contains_row(_sparse(v))
+
+    def contains_row(self, row):
+        """Whether the sparse row {column: scalar} lies in the subspace."""
+        return not _residual(row, self._by_pivot)
 
     def coordinates(self, v):
-        """Coefficients of v on self.basis, or None if v is outside."""
-        coords = [ZERO] * self.dim
-        return None if self._reduce(v, coords) else coords
+        """Coefficients of v on self.basis, or None if v is outside.  A
+        vector inside is the sum of its entry at each pivot column times
+        that pivot's row."""
+        self._check_length(v)
+        row = _sparse(v)
+        if _residual(row, self._by_pivot):
+            return None
+        return [row.get(c, ZERO) for c in self._pivots]
 
     def combine(self, coords):
         """The vector with the given coefficients on self.basis."""

@@ -8,7 +8,8 @@ import pytest
 
 from hermform import linalg
 from hermform.calculus import (SHIFT, THEORY, AssemblyError, HodgeEngine,
-                               InnerProduct, NotClosedError)
+                               InnerProduct, NotClosedError,
+                               UnknownTheoryError)
 from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
                               torus)
 from hermform.cli import run
@@ -292,6 +293,59 @@ def test_de_rham_membership_outside_subcomplex():
     for form in (spec.gen("p1"), spec.gen("p1") + spec.gen("q1")):
         with pytest.raises(ModelError):
             engine.is_harmonic("de_rham", form)
+
+
+def test_membership_outside_subcomplex_is_a_model_error():
+    """A monomial outside the degree's basis is a ModelError, never a
+    bare KeyError, on the bigraded route as on the de Rham one."""
+    engine = engine_for("example1:invariant")
+    p1 = engine.spec.gen("p1")
+    assert p1.bidegree() == (1, 0)
+    with pytest.raises(ModelError):
+        engine.is_harmonic("dolbeault", p1)
+    with pytest.raises(ModelError):
+        engine.row(p1.components, 1, 0)
+
+
+def test_unknown_theory_has_its_own_class():
+    engine = engine_for("torus:1")
+    with pytest.raises(UnknownTheoryError, match="'no_such'"):
+        engine.harmonic_space("no_such", 0, 0)
+    assert issubclass(UnknownTheoryError, ValueError)
+
+
+@pytest.mark.parametrize("ident", SAMPLE_IDS + ("example1:invariant",))
+def test_assembled_matrices_match_the_derivation(ident):
+    """Column j of each del/dbar matrix is the derivation of basis
+    monomial j as apply_derivation computes it on Forms."""
+    engine = engine_for(ident)
+    spec = engine.spec
+    for bid in engine.degrees("dolbeault"):
+        for which in ("del", "dbar"):
+            mat = engine.matrix(which, *bid)
+            target = engine.basis(*(a + b for a, b in zip(bid, SHIFT[which])))
+            for j, mono in enumerate(engine.basis(*bid)):
+                image = engine._derive(which, spec.monomial_form(mono))
+                column = {target[i]: row[j] for i, row in enumerate(mat.data)
+                          if j in row}
+                assert column == image.components, (which, mono)
+
+
+def test_product_table_matches_wedge():
+    engine = engine_for("ce:u=1,v=1")
+    spec = engine.spec
+    monos = [m for bid in engine.degrees("dolbeault")
+             for m in engine.basis(*bid)]
+    rng = random.Random(47)
+    for _ in range(200):
+        ma, mb = rng.choice(monos), rng.choice(monos)
+        mono, sign = engine.product(ma, mb)
+        wedge = spec.monomial_form(ma).wedge(spec.monomial_form(mb))
+        if mono is None:
+            assert sign == 0 and wedge.is_zero()
+        else:
+            assert wedge.components == {mono: GaussianRational(sign)}
+        assert engine.product(ma, mb) is engine.product(ma, mb)
 
 
 def test_torus_harmonic_is_everything():

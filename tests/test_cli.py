@@ -218,3 +218,39 @@ def test_pinned_abc_closure_witness():
                            "--notion", "abc", "--ascii"])
     assert code == 0
     assert out == FORMALITY_CE_1_2_ABC
+
+
+# Clean sweeps decided by the generator-set fast path: every notion on
+# torus:3, Dolbeault and de Rham on IV.6 (whose other notions fail with
+# witnesses from the canonical scan).
+FORMALITY_TORUS_3 = (
+    'geom_dolbeault: yes\n'
+    'geom_bott_chern: yes\n'
+    'geom_abc: yes\n'
+    'geom_aeppli: yes\n'
+    '  bc_equals_aeppli: yes\n'
+    '  module_condition: yes\n'
+    'geom_de_rham: yes\n'
+)
+
+FORMALITY_IV_6 = (
+    'geom_dolbeault: yes\n'
+    'geom_bott_chern: no\n'
+    '  witness: (q2*q3) ^ (p2*p3) violates bott_chern-harmonicity\n'
+    '  metric-independent obstruction: holomorphic form p4 with del != 0\n'
+    'geom_abc: no\n'
+    '  witness: (q4) ^ (p4) violates wedge-closure of H_A + H_BC\n'
+    'geom_aeppli: no\n'
+    '  bc_equals_aeppli: no\n'
+    '  module_condition: no\n'
+    '  witness: (1) ^ (q2*q3) violates aeppli-harmonicity of H_A * H_BC\n'
+    'geom_de_rham: yes\n'
+)
+
+
+@pytest.mark.parametrize("model,expected", (
+    ("torus:3", FORMALITY_TORUS_3), ("nakamura:IV.6", FORMALITY_IV_6)))
+def test_pinned_clean_sweeps(model, expected):
+    code, out, _ = invoke(["formality", "--model", model, "--ascii"])
+    assert code == 0
+    assert out == expected

@@ -1,13 +1,15 @@
 """Formality verdicts, sub-verdicts, witnesses and implications."""
 
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from hermform import formality
-from hermform.calculus import HodgeEngine, InnerProduct
+from hermform.calculus import AssemblyError, HodgeEngine, InnerProduct
 from hermform.catalog import default_instances, engine_for, load_with_action
+from hermform.cli import run
 from hermform.formality import NOTIONS, check_all, check_formality
 from hermform.linalg import Subspace
 from hermform.model import invariant_submodel
@@ -88,6 +90,56 @@ def test_holomorphic_obstruction_abelian_vs_not(torus2, iwasawa):
 def test_unknown_notion_rejected(torus2):
     with pytest.raises(ValueError):
         check_formality(torus2, "geom_unknown")
+
+
+def test_unknown_notion_has_its_own_class(torus2):
+    with pytest.raises(formality.UnknownNotionError, match="geom_unknown"):
+        check_formality(torus2, "geom_unknown")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["formality", "--model", "torus:2", "--notion", "bogus"],
+               out=out, err=err)
+    assert code == 1
+    assert err.getvalue().count("\n") == 1
+    assert "unknown formality notion 'bogus'" in err.getvalue()
+
+
+# -- the generator-set fast path ---------------------------------------------
+
+@pytest.mark.parametrize("ident", ("torus:3", "torus:4"))
+def test_generator_set_on_a_torus_is_the_degree_one_basis(ident):
+    """On a torus every form is harmonic and the degree-one forms generate
+    everything, so S is the degree-one basis of the right space, counted
+    on the span: 2n forms in every grading, ABC included, whose form list
+    ℋ_A then ℋ_BC holds 4n."""
+    engine = engine_for(ident)
+    n = engine.spec.n
+    for notion, sweep in formality.SWEEPS.items():
+        spaces = formality._Spaces(engine)
+        holds, found = formality._generator_set(spaces, sweep)
+        assert holds, notion
+        ones = [d for d in engine.degrees(formality._grading(sweep.right))
+                if sum(d) == 1]
+        assert found == [(d, k) for d in ones
+                         for k in range(spaces.get(sweep.right, d).space.dim)]
+        assert len(found) == 2 * n, notion
+    assert sum(len(formality._Spaces(engine).get("abc", d).forms)
+               for d in ((1, 0), (0, 1))) == 4 * n
+
+
+def test_generator_failure_with_a_clean_scan_is_an_internal_fault(
+        iwasawa, monkeypatch):
+    """A product of (i) outside the target must be confirmed by the
+    canonical scan; a clean scan there is a broken invariant (exit 2)."""
+    monkeypatch.setattr(formality, "_first_violation",
+                        lambda spaces, sweep: None)
+    with pytest.raises(AssemblyError, match="canonical scan"):
+        check_formality(iwasawa, "geom_dolbeault")
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["formality", "--model", "iwasawa"], out=out, err=err)
+    assert code == 2
+    assert out.getvalue() == ""
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
 
 
 # -- reference sweeps ------------------------------------------------------
@@ -195,11 +247,14 @@ SMALL_INSTANCES = [(ident, params) for ident, params in default_instances()
                    if load_with_action(ident, params)[0].n <= 4]
 
 
-def _engine(ident, params, seeded):
+def _engine(ident, params, metric):
+    """An engine under the default metric, a seeded per-generator metric
+    (the weight of a monomial is the product of its generators'), or a
+    seeded per-monomial metric (every monomial weighted on its own)."""
     spec, action = load_with_action(ident, params)
     filt = invariant_submodel(spec, action) if action else None
     ip = None
-    if seeded:
+    if metric == "seeded":
         rng = random.Random(83)
         gen_weight = [Fraction(rng.randint(1, 4), rng.randint(1, 3))
                       for _ in spec.generators]
@@ -211,6 +266,11 @@ def _engine(ident, params, seeded):
                     w *= g ** e
                 weights[mono] = w
         ip = InnerProduct(weights)
+    elif metric == "seeded2":
+        rng = random.Random(131)
+        ip = InnerProduct({mono: Fraction(rng.randint(1, 5), rng.randint(1, 4))
+                           for bid in spec.bidegrees()
+                           for mono in spec.basis(*bid)})
     return HodgeEngine(spec, ip, monomial_filter=filt)
 
 
@@ -230,16 +290,16 @@ def _same(got, want):
             and ge == we and gp.components == wp.components)
 
 
-@pytest.mark.parametrize("seeded", (False, True), ids=("default", "seeded"))
+@pytest.mark.parametrize("metric", ("default", "seeded", "seeded2"))
 @pytest.mark.parametrize(
     "ident,params", SMALL_INSTANCES,
     ids=[ident + "".join(",%s=%s" % kv for kv in sorted((p or {}).items()))
          for ident, p in SMALL_INSTANCES])
-def test_check_formality_matches_reference_sweeps(ident, params, seeded):
+def test_check_formality_matches_reference_sweeps(ident, params, metric):
     """Verdict, sub-verdicts and witness of every notion agree with the
-    separately written reference loops, under the default metric and a
-    seeded per-generator metric."""
-    engine = _engine(ident, params, seeded)
+    separately written reference loops, under the default metric and two
+    seeded metrics, one per generator and one per monomial."""
+    engine = _engine(ident, params, metric)
     for notion in NOTIONS:
         got = _as_tuple(check_formality(engine, notion))
         want = REFERENCE[notion](engine)

@@ -79,6 +79,67 @@ def test_subspace_membership_and_coordinates():
     assert not s.equals(Subspace(3, [[1, 1, 2]]))
 
 
+def _dense(row, n):
+    return [row.get(j, ZERO) for j in range(n)]
+
+
+def test_sparse_membership_matches_dense_random():
+    """contains_row on a sparse row agrees with contains on the dense
+    vector, and coordinates rebuild the vector, for members (random
+    combinations of the spanning set) and random vectors alike."""
+    rng = random.Random(53)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        vectors = [_dense(rand_matrix(rng, 1, n).data[0], n)
+                   for _ in range(rng.randint(0, 4))]
+        s = Subspace(n, vectors)
+        for _ in range(6):
+            if vectors and rng.random() < 0.5:
+                v = [ZERO] * n
+                for b in vectors:
+                    c = GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                    v = [x + c * y for x, y in zip(v, b)]
+            else:
+                v = _dense(rand_matrix(rng, 1, n).data[0], n)
+            row = {j: a for j, a in enumerate(v) if a}
+            inside = s.contains_row(row)
+            assert inside == s.contains(v)
+            assert inside == (Subspace(n, vectors + [v]).dim == s.dim)
+            coords = s.coordinates(v)
+            assert (coords is not None) == inside
+            if inside:
+                assert s.combine(coords) == v
+
+
+def test_independent_rows_keep_a_complement():
+    rng = random.Random(59)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        spanning = [rand_matrix(rng, 1, n).data[0]
+                    for _ in range(rng.randint(0, 3))]
+        candidates = [rand_matrix(rng, 1, n).data[0]
+                      for _ in range(rng.randint(0, 5))]
+        snapshot = [dict(r) for r in spanning + candidates]
+        kept = linalg.independent_rows(spanning, candidates)
+        assert spanning + candidates == snapshot  # inputs left as they are
+        # each kept candidate raises the rank of what came before it,
+        # each other one does not
+        for k, row in enumerate(candidates):
+            before = [_dense(r, n) for r in spanning + candidates[:k]]
+            grows = (Subspace(n, before + [_dense(row, n)]).dim
+                     > Subspace(n, before).dim)
+            assert grows == (k in kept)
+
+
+def test_mul_row_matches_mul_vec():
+    rng = random.Random(61)
+    for _ in range(20):
+        m = rand_matrix(rng, rng.randint(0, 5), rng.randint(1, 5))
+        x = rand_matrix(rng, 1, m.cols).data[0]
+        dense = m.mul_vec(_dense(x, m.cols))
+        assert m.mul_row(x) == {i: a for i, a in enumerate(dense) if a}
+
+
 def test_inner_product_conjugate_linear_second_slot():
     u = [ONE, GaussianRational(0, 1)]
     v = [GaussianRational(0, 1), ONE]
