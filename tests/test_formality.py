@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hermform import formality
-from hermform.calculus import AssemblyError, HodgeEngine, InnerProduct
+from hermform.calculus import (AssemblyError, HarmonicBasis, HodgeEngine,
+                               InnerProduct)
 from hermform.catalog import default_instances, engine_for, load_with_action
 from hermform.cli import run
 from hermform.formality import NOTIONS, check_all, check_formality
@@ -124,6 +125,46 @@ def test_generator_set_on_a_torus_is_the_degree_one_basis(ident):
         assert len(found) == 2 * n, notion
     assert sum(len(formality._Spaces(engine).get("abc", d).forms)
                for d in ((1, 0), (0, 1))) == 4 * n
+
+
+def test_generator_check_tests_the_unit_as_a_left_factor(monkeypatch):
+    """(i) asks 1·s in the target too.  Strip ℋ_A of bidegree (1,0) on
+    torus:1: then 1·p1 is the one product of the Aeppli check that leaves
+    ℋ_A, and the module condition must fail on it."""
+    engine = HodgeEngine(load_with_action("torus:1")[0])
+    real = engine.harmonic_space
+
+    def stripped(theory, *degree):
+        h = real(theory, *degree)
+        if (theory, degree) == ("aeppli", (1, 0)):
+            return HarmonicBasis(theory, degree, [],
+                                 Subspace(h.space.ambient))
+        return h
+    monkeypatch.setattr(engine, "harmonic_space", stripped)
+    sweep = formality.SWEEPS["geom_aeppli"]
+    assert formality._generator_set(formality._Spaces(engine),
+                                    sweep)[0] is False
+    report = check_formality(engine, "geom_aeppli")
+    assert report.sub_verdicts["module_condition"] is False
+    w = report.witness
+    assert w.left.components == engine.spec.one().components
+    assert w.right.components == engine.spec.gen("p1").components
+
+
+def test_generator_check_needs_degree_zero_to_be_the_unit(monkeypatch):
+    """With more than the unit in degree 0 the induction on degree breaks,
+    so the fast path declines and leaves the verdict to the scan."""
+    engine = HodgeEngine(load_with_action("torus:1")[0])
+    real = engine.basis
+    extra = (1, 1)
+
+    def padded(*degree):
+        monos = real(*degree)
+        return monos + [extra] if degree == (0, 0) else monos
+    monkeypatch.setattr(engine, "basis", padded)
+    for sweep in formality.SWEEPS.values():
+        assert formality._generator_set(formality._Spaces(engine),
+                                        sweep) == (None, [])
 
 
 def test_generator_failure_with_a_clean_scan_is_an_internal_fault(
