@@ -297,6 +297,12 @@ class HodgeEngine:
             raise ModelError("form outside the %s subcomplex basis"
                              % _label(degree)) from None
 
+    def form(self, row, *degree):
+        """The Form with the sparse row {position: scalar} as its
+        coefficients on the degree's basis."""
+        basis = self.basis(*degree)
+        return Form(self.spec, {basis[j]: c for j, c in sorted(row.items())})
+
     def coords(self, form, *degree):
         """Coefficient vector of form on the degree's basis."""
         vec = [ZERO] * len(self.index(*degree))
@@ -311,6 +317,31 @@ class HodgeEngine:
         if key not in self._product:
             self._product[key] = _merge_monomials(self.spec, ma, mb)
         return self._product[key]
+
+    def wedge_row(self, a, b, *degree):
+        """The wedge of two forms given as (monomial, scalar) terms, as a
+        sparse row on the basis of the degree it lands in.  A term outside
+        that basis is a ModelError, as in `row`."""
+        index = self.index(*degree)
+        table = self._product
+        out = {}
+        for ma, ca in a:
+            for mb, cb in b:
+                hit = table.get((ma, mb))
+                m, sign = hit if hit is not None else self.product(ma, mb)
+                if m is None:
+                    continue
+                j = index.get(m)
+                if j is None:
+                    raise ModelError("form outside the %s subcomplex basis"
+                                     % _label(degree))
+                c = ca * cb
+                v = out.get(j, ZERO) + (c if sign > 0 else -c)
+                if v:
+                    out[j] = v
+                else:
+                    out.pop(j, None)
+        return out
 
     def _degree(self, theory, form):
         """Degree of form in the theory's grading, None unless homogeneous."""
@@ -487,9 +518,7 @@ class HodgeEngine:
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-            basis = self.basis(*degree)
-            forms = [Form(self.spec, {m: c for m, c in zip(basis, v) if c})
-                     for v in by_star.basis]
+            forms = [self.form(row, *degree) for row in by_star._rref]
             self._harmonic[key] = HarmonicBasis(
                 theory, degree if len(degree) > 1 else degree[0], forms,
                 by_star)

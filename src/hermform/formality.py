@@ -29,9 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .calculus import SHIFT, AssemblyError
-from .linalg import Subspace, independent_rows, kernel_basis
-from .model import Form
-from .scalars import ZERO
+from .linalg import Echelon, Subspace, kernel_basis
 
 # A notion holds when every product of a left basis form with a right
 # basis form lies in the target space.  A space is named by its theory,
@@ -139,25 +137,6 @@ def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _times(engine, a, b, degree):
-    """The product of two (monomial, scalar) lists as a sparse row on
-    the degree's basis."""
-    product = engine.product
-    out = {}
-    for ma, ca in a:
-        for mb, cb in b:
-            m, sign = product(ma, mb)
-            if m is None:
-                continue
-            c = ca * cb
-            v = out.get(m, ZERO) + (c if sign > 0 else -c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-    return engine.row(out, *degree)
-
-
 def _generator_set(spaces, sweep):
     """(holds, S) for the argument in the module docstring.  holds is
     True when (i) and (ii) hold, with S as (degree, position in the right
@@ -171,33 +150,35 @@ def _generator_set(spaces, sweep):
     present = set(degrees)
     positive = sorted((d for d in degrees if d != zero), key=sum)
     same = sweep.left == sweep.right
-    # for (ii): the products r·s landing at each degree, as sparse rows
-    spanned = {d: [] for d in positive}
+    # for (ii): the span of the products r·s landing at each degree
+    spanned = {d: Echelon() for d in positive}
     found = []
     for degree in positive:
-        right = spaces.get(sweep.right, degree).span
-        kept = independent_rows(spanned.pop(degree), right)
+        span = spanned.pop(degree)
+        kept = [k for k, row in enumerate(spaces.get(sweep.right, degree).span)
+                if span.add(row)]
         found.extend((degree, k) for k in kept)
-        gens = spaces.terms(sweep.right, degree, "span")
+        terms = spaces.terms(sweep.right, degree, "span")
+        gens = [terms[k] for k in kept]
         for other in degrees:
             total = _add(other, degree)
+            # with L = R, 1·s = s lies in T already
             if total not in present or (same and other == zero):
                 continue
             target = spaces.get(sweep.target, total).space
-            lefts = spaces.terms(sweep.left, other, "span")
-            for k in kept:
-                for a in lefts:
-                    row = _times(engine, a, gens[k], total)
+            span = spanned.get(total)
+            for a in spaces.terms(sweep.left, other, "span"):
+                for s in gens:
+                    row = engine.wedge_row(a, s, *total)
                     if row and not target.contains_row(row):
                         return False, found
-                    if same and row:
-                        spanned[total].append(row)
+                    # with L = R this is a product of (ii), inside R
+                    if same and row and len(span) < target.dim:
+                        span.add(row)
             if not same and other != zero:
                 for r in spaces.terms(sweep.right, other, "span"):
-                    for k in kept:
-                        row = _times(engine, r, gens[k], total)
-                        if row:
-                            spanned[total].append(row)
+                    for s in gens:
+                        span.add(engine.wedge_row(r, s, *total))
     return True, found
 
 
@@ -218,7 +199,7 @@ def _first_violation(spaces, sweep):
             rights = spaces.terms(sweep.right, right, "rows") if lefts else ()
             for i, a in enumerate(lefts):
                 for k, b in enumerate(rights):
-                    row = _times(engine, a, b, total)
+                    row = engine.wedge_row(a, b, *total)
                     if row and not spaces.get(
                             sweep.target, total).space.contains_row(row):
                         f = spaces.get(sweep.left, left).forms[i]
@@ -233,9 +214,11 @@ def _closure_violation(spaces):
     engine = spaces.engine
     for degree in engine.degrees("aeppli"):
         abc = spaces.get("abc", degree)
-        for f, row in zip(abc.forms, abc.rows):
+        images = {which: engine.matrix(which, *degree).mul_rows(abc.rows)
+                  for which in ("del", "dbar")}
+        for k, f in enumerate(abc.forms):
             for which in ("del", "dbar"):
-                image = engine.matrix(which, *degree).mul_row(row)
+                image = images[which][k]
                 if image and not spaces.get(
                         "abc", _add(degree, SHIFT[which])).space.contains_row(
                             image):
@@ -283,12 +266,10 @@ def holomorphic_closedness_obstruction(engine):
     inner product on the model, not just the engine's.
     """
     for p in range(1, engine.spec.n + 1):
-        basis = engine.basis(p, 0)
-        if not basis:
+        if not engine.basis(p, 0):
             continue
-        delta = engine.matrix("del", p, 0)
-        for row in kernel_basis(engine.matrix("dbar", p, 0))._rref:
-            if delta.mul_row(row):
-                return Form(engine.spec,
-                            {basis[j]: c for j, c in sorted(row.items())})
+        rows = kernel_basis(engine.matrix("dbar", p, 0))._rref
+        for row, image in zip(rows, engine.matrix("del", p, 0).mul_rows(rows)):
+            if image:
+                return engine.form(row, p, 0)
     return None

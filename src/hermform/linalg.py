@@ -110,18 +110,24 @@ class Matrix:
             out.data[i] = acc
         return out
 
-    def mul_row(self, x):
-        """M x for a sparse column vector x {col: scalar}, as a sparse
-        row {row index: scalar}."""
-        out = {}
+    def mul_rows(self, xs):
+        """M x for each sparse column vector x {col: scalar} of xs, as
+        sparse rows {row index: scalar}."""
+        columns = {}
         for i, row in enumerate(self.data):
-            acc = ZERO
-            for j, a in x.items():
-                b = row.get(j)
-                if b is not None:
-                    acc = acc + b * a
-            if acc:
-                out[i] = acc
+            for j, a in row.items():
+                columns.setdefault(j, []).append((i, a))
+        out = []
+        for x in xs:
+            acc = {}
+            for j, b in x.items():
+                for i, a in columns.get(j, ()):
+                    v = acc.get(i, ZERO) + a * b
+                    if v:
+                        acc[i] = v
+                    else:
+                        acc.pop(i, None)
+            out.append(acc)
         return out
 
     def is_zero(self):
@@ -196,36 +202,37 @@ def _residual(row, by_pivot):
     return out
 
 
-def _extend(by_pivot, row):
-    """Add the row to the fully reduced rows of by_pivot; whether it was
-    outside their span."""
-    row = _residual(row, by_pivot)
-    if not row:
-        return False
-    c = min(row)
-    inv = ONE / row[c]
-    row = {j: a * inv for j, a in row.items()}
-    for other in by_pivot.values():
-        a = other.get(c)
-        if a is not None:
-            for j, b in row.items():
-                v = other.get(j, ZERO) - a * b
-                if v:
-                    other[j] = v
-                else:
-                    other.pop(j, None)
-    by_pivot[c] = row
-    return True
+class Echelon:
+    """Fully reduced sparse rows of one ambient space, grown one row at a
+    time."""
 
+    __slots__ = ("_by_pivot",)
 
-def independent_rows(spanning, candidates):
-    """Positions of the candidates that neither the spanning rows nor the
-    candidates kept before them span, in order (sparse rows of one
-    ambient space)."""
-    by_pivot = {}
-    for row in spanning:
-        _extend(by_pivot, row)
-    return [k for k, row in enumerate(candidates) if _extend(by_pivot, row)]
+    def __init__(self):
+        self._by_pivot = {}
+
+    def __len__(self):
+        return len(self._by_pivot)
+
+    def add(self, row):
+        """Add the sparse row; whether it was outside the span so far."""
+        row = _residual(row, self._by_pivot)
+        if not row:
+            return False
+        c = min(row)
+        inv = ONE / row[c]
+        row = {j: a * inv for j, a in row.items()}
+        for other in self._by_pivot.values():
+            a = other.get(c)
+            if a is not None:
+                for j, b in row.items():
+                    v = other.get(j, ZERO) - a * b
+                    if v:
+                        other[j] = v
+                    else:
+                        other.pop(j, None)
+        self._by_pivot[c] = row
+        return True
 
 
 def kernel_basis(m):

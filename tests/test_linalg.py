@@ -111,33 +111,31 @@ def test_sparse_membership_matches_dense_random():
                 assert s.combine(coords) == v
 
 
-def test_independent_rows_keep_a_complement():
+def test_echelon_add_reports_rank_growth():
     rng = random.Random(59)
     for _ in range(30):
         n = rng.randint(1, 6)
-        spanning = [rand_matrix(rng, 1, n).data[0]
-                    for _ in range(rng.randint(0, 3))]
-        candidates = [rand_matrix(rng, 1, n).data[0]
-                      for _ in range(rng.randint(0, 5))]
-        snapshot = [dict(r) for r in spanning + candidates]
-        kept = linalg.independent_rows(spanning, candidates)
-        assert spanning + candidates == snapshot  # inputs left as they are
-        # each kept candidate raises the rank of what came before it,
-        # each other one does not
-        for k, row in enumerate(candidates):
-            before = [_dense(r, n) for r in spanning + candidates[:k]]
+        rows = [rand_matrix(rng, 1, n).data[0]
+                for _ in range(rng.randint(0, 8))]
+        snapshot = [dict(r) for r in rows]
+        echelon = linalg.Echelon()
+        for k, row in enumerate(rows):
+            before = [_dense(r, n) for r in rows[:k]]
             grows = (Subspace(n, before + [_dense(row, n)]).dim
                      > Subspace(n, before).dim)
-            assert grows == (k in kept)
+            assert echelon.add(row) == grows
+            assert len(echelon) == Subspace(n, before + [_dense(row, n)]).dim
+        assert rows == snapshot  # the rows added are left as they are
 
 
-def test_mul_row_matches_mul_vec():
+def test_mul_rows_matches_mul_vec():
     rng = random.Random(61)
     for _ in range(20):
         m = rand_matrix(rng, rng.randint(0, 5), rng.randint(1, 5))
-        x = rand_matrix(rng, 1, m.cols).data[0]
-        dense = m.mul_vec(_dense(x, m.cols))
-        assert m.mul_row(x) == {i: a for i, a in enumerate(dense) if a}
+        xs = [rand_matrix(rng, 1, m.cols).data[0] for _ in range(3)]
+        assert m.mul_rows(xs) == [
+            {i: a for i, a in enumerate(m.mul_vec(_dense(x, m.cols))) if a}
+            for x in xs]
 
 
 def test_inner_product_conjugate_linear_second_slot():
