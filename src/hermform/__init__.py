@@ -10,8 +10,8 @@ from .scalars import GaussianRational, parse_scalar
 from .model import (DiagonalAction, Form, GeneratorSpec, ModelError,
                     ModelSpec, invariant_submodel)
 from .calculus import (AssemblyError, CohomologyTable, HodgeEngine,
-                       InnerProduct, NotClosedError)
-from .formality import (check_all, check_formality,
+                       InnerProduct, NotClosedError, UnknownTheoryError)
+from .formality import (UnknownNotionError, check_all, check_formality,
                         holomorphic_closedness_obstruction)
 from .massey import (MasseyVerdict, PotentialError, solve_potential,
                      triple_abc_massey, verify_appendix_case)
@@ -27,8 +27,9 @@ __all__ = [
     "DiagonalAction", "Form", "GeneratorSpec", "ModelError", "ModelSpec",
     "invariant_submodel",
     "AssemblyError", "CohomologyTable", "HodgeEngine", "InnerProduct",
-    "NotClosedError",
-    "check_all", "check_formality", "holomorphic_closedness_obstruction",
+    "NotClosedError", "UnknownTheoryError",
+    "UnknownNotionError", "check_all", "check_formality",
+    "holomorphic_closedness_obstruction",
     "MasseyVerdict", "PotentialError", "solve_potential",
     "triple_abc_massey", "verify_appendix_case",
     "CatalogError", "load", "load_with_action",

@@ -61,6 +61,10 @@ def _label(degree):
     return "(%s)" % ",".join(str(a) for a in degree)
 
 
+def _outside(degree):
+    return ModelError("form outside the %s subcomplex basis" % _label(degree))
+
+
 class AssemblyError(ModelError):
     """d^2 != 0 or a non-restricting differential."""
 
@@ -294,8 +298,7 @@ class HodgeEngine:
         try:
             return {index[m]: c for m, c in components.items()}
         except KeyError:
-            raise ModelError("form outside the %s subcomplex basis"
-                             % _label(degree)) from None
+            raise _outside(degree) from None
 
     def form(self, row, *degree):
         """The Form with the sparse row {position: scalar} as its
@@ -333,8 +336,7 @@ class HodgeEngine:
                     continue
                 j = index.get(m)
                 if j is None:
-                    raise ModelError("form outside the %s subcomplex basis"
-                                     % _label(degree))
+                    raise _outside(degree)
                 c = ca * cb
                 v = out.get(j, ZERO) + (c if sign > 0 else -c)
                 if v:
@@ -518,7 +520,7 @@ class HodgeEngine:
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-            forms = [self.form(row, *degree) for row in by_star._rref]
+            forms = [self.form(row, *degree) for row in by_star.rows]
             self._harmonic[key] = HarmonicBasis(
                 theory, degree if len(degree) > 1 else degree[0], forms,
                 by_star)
@@ -528,20 +530,15 @@ class HodgeEngine:
         return self.harmonic_space("de_rham", k)
 
     def is_harmonic(self, theory, form):
-        """Whether form lies in the harmonic space of its degree."""
-        return self.in_space(
-            theory, form,
-            lambda *degree: self.harmonic_space(theory, *degree).space)
-
-    def in_space(self, theory, form, space_at):
-        """Whether form lies in the Subspace space_at(*degree) of its
-        degree in the theory's grading.  Zero lies in every space; a form
-        spread over several degrees in none."""
+        """Whether form lies in the harmonic space of its degree in the
+        theory's grading.  Zero does; a form spread over several degrees
+        does not."""
         if form.is_zero():
             return True
         degree = self._degree(theory, form)
-        return degree is not None and space_at(*degree).contains_row(
-            self.row(form.components, *degree))
+        return degree is not None and self.harmonic_space(
+            theory, *degree).space.contains_row(
+                self.row(form.components, *degree))
 
     # -- quotient dimensions (the inner-product-free oracle) -----------
 

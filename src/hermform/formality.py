@@ -88,7 +88,7 @@ class FormalityReport:
 # {position: scalar}; `span` is the RREF basis of `space`.  A theory's
 # harmonic space has one basis for both; "abc" walks the forms of ℋ_A
 # then those of ℋ_BC, which on a torus repeat each form.
-Space = namedtuple("Space", ["space", "forms", "rows", "span"])
+_Space = namedtuple("_Space", ["space", "forms", "rows", "span"])
 
 
 class _Spaces:
@@ -109,12 +109,12 @@ class _Spaces:
     def _build(self, name, degree):
         if name != "abc":
             h = self.engine.harmonic_space(name, *degree)
-            return Space(h.space, h.forms, h.space._rref, h.space._rref)
+            return _Space(h.space, h.forms, h.space.rows, h.space.rows)
         a = self.engine.harmonic_space("aeppli", *degree)
         bc = self.engine.harmonic_space("bott_chern", *degree)
-        rows = a.space._rref + bc.space._rref
+        rows = a.space.rows + bc.space.rows
         span = Subspace._from_rows(a.space.ambient, [dict(r) for r in rows])
-        return Space(span, a.forms + bc.forms, rows, span._rref)
+        return _Space(span, a.forms + bc.forms, rows, span.rows)
 
     def terms(self, name, degree, which):
         """The rows of get(name, degree).`which` as (monomial, scalar)
@@ -268,7 +268,7 @@ def holomorphic_closedness_obstruction(engine):
     for p in range(1, engine.spec.n + 1):
         if not engine.basis(p, 0):
             continue
-        rows = kernel_basis(engine.matrix("dbar", p, 0))._rref
+        rows = kernel_basis(engine.matrix("dbar", p, 0)).rows
         for row, image in zip(rows, engine.matrix("del", p, 0).mul_rows(rows)):
             if image:
                 return engine.form(row, p, 0)

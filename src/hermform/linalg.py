@@ -327,6 +327,12 @@ class Subspace:
     def basis(self):
         return [self._row_to_vec(r) for r in self._rref]
 
+    @property
+    def rows(self):
+        """The reduced row echelon basis as sparse rows {column: scalar},
+        shared with the subspace: read them, do not change them."""
+        return self._rref
+
     def _row_to_vec(self, row):
         v = [ZERO] * self.ambient
         for j, a in row.items():
