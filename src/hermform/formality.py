@@ -157,6 +157,8 @@ def _generator_set(spaces, sweep):
         span = spanned.pop(degree)
         kept = [k for k, row in enumerate(spaces.get(sweep.right, degree).span)
                 if span.add(row)]
+        if not kept:
+            continue
         found.extend((degree, k) for k in kept)
         terms = spaces.terms(sweep.right, degree, "span")
         gens = [terms[k] for k in kept]
