@@ -113,7 +113,7 @@ class _Spaces:
         a = self.engine.harmonic_space("aeppli", *degree)
         bc = self.engine.harmonic_space("bott_chern", *degree)
         rows = a.space.rows + bc.space.rows
-        span = Subspace._from_rows(a.space.ambient, [dict(r) for r in rows])
+        span = Subspace._from_rows(a.space.ambient, rows)
         return _Space(span, a.forms + bc.forms, rows, span.rows)
 
     def terms(self, name, degree, which):

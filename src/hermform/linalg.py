@@ -4,6 +4,11 @@ Matrices are stored as sparse rows (dict col -> scalar); the structure
 matrices showing up downstream have only a handful of nonzero entries
 per row, so elimination stays cheap even at ambient dimension ~1000.
 
+One routine row-reduces: `Echelon`, which keeps the reduced row echelon
+form of a span as rows are added.  Ranks, kernels, solutions, the Gram
+inverse of a `Projector` and the basis a `Subspace` keeps are all read
+off it.
+
 Hermitian inner products are diagonal with positive rational weights and
 conjugate-linear in the second argument throughout.
 """
@@ -134,54 +139,11 @@ class Matrix:
         return all(not row for row in self.data)
 
     def rank(self):
-        return len(_row_echelon([dict(r) for r in self.data], self.cols)[0])
+        return len(Echelon(self.data))
 
     def __repr__(self):
         return "Matrix(%dx%d, %d nonzero)" % (
             self.rows, self.cols, sum(len(r) for r in self.data))
-
-
-def _row_echelon(rows, cols):
-    """In-place reduced row echelon on sparse row dicts.
-
-    Returns (pivot_cols, reduced_rows) with unit pivots, pivot columns
-    cleared above and below.
-    """
-    pivots = []
-    reduced = []
-    for col in range(cols):
-        best = None
-        for idx, row in enumerate(rows):
-            if col in row:
-                if best is None or len(rows[best]) > len(row):
-                    best = idx
-        if best is None:
-            continue
-        piv = rows.pop(best)
-        inv = ONE / piv[col]
-        piv = {j: a * inv for j, a in piv.items()}
-        for row in rows:
-            a = row.get(col)
-            if a is not None:
-                for j, b in piv.items():
-                    v = row.get(j, ZERO) - a * b
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-        for row in reduced:
-            a = row.get(col)
-            if a is not None:
-                for j, b in piv.items():
-                    v = row.get(j, ZERO) - a * b
-                    if v:
-                        row[j] = v
-                    else:
-                        row.pop(j, None)
-        reduced.append(piv)
-        pivots.append(col)
-        rows = [r for r in rows if r]
-    return pivots, reduced
 
 
 def _residual(row, by_pivot):
@@ -203,13 +165,18 @@ def _residual(row, by_pivot):
 
 
 class Echelon:
-    """Fully reduced sparse rows of one ambient space, grown one row at a
-    time."""
+    """The reduced row echelon form (RREF) of the span of sparse rows,
+    grown one row at a time: each kept row has 1 at its pivot, its first
+    column, and 0 at every other pivot column.  That form of a row space
+    is unique, so it does not depend on the order of the rows.  `add`
+    never changes the row it is given."""
 
     __slots__ = ("_by_pivot",)
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self._by_pivot = {}
+        for row in rows:
+            self.add(row)
 
     def __len__(self):
         return len(self._by_pivot)
@@ -234,20 +201,23 @@ class Echelon:
         self._by_pivot[c] = row
         return True
 
+    def view(self):
+        """The RREF as {pivot column: row} in increasing pivot order."""
+        return dict(sorted(self._by_pivot.items()))
+
 
 def kernel_basis(m):
     """Basis of {v : M v = 0} as a Subspace of dimension m.cols."""
-    return _kernel(m.cols, *_row_echelon([dict(r) for r in m.data], m.cols))
+    return _kernel(m.cols, Echelon(m.data).view())
 
 
-def _kernel(cols, pivots, reduced):
-    """Kernel of the first `cols` columns of a reduced row echelon form
-    whose pivots all lie in those columns."""
-    pivot_set = set(pivots)
+def _kernel(cols, rref):
+    """Kernel of the first `cols` columns of an RREF {pivot: row} whose
+    pivots all lie in those columns."""
     # one kernel row per free column f: 1 at f, minus column f of the
     # RREF at each pivot (RREF rows hold no other pivot column)
-    free = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
-    for c, row in zip(pivots, reduced):
+    free = {f: {f: ONE} for f in range(cols) if f not in rref}
+    for c, row in rref.items():
         for f, a in row.items():
             if f != c and f < cols:
                 free[f][c] = -a
@@ -270,68 +240,60 @@ def solve(m, b):
 
 
 def _solve_rref(m, b):
-    """(x, pivots, reduced): x solves M x = b, and the RREF of [M | b]
-    restricted to M's columns is the RREF of M.  None when b is outside
-    the column span."""
+    """(x, rref): x solves M x = b, and rref, the RREF {pivot: row} of
+    [M | b], restricted to M's columns is the RREF of M.  None when b is
+    outside the column span."""
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length %d != %d rows" % (len(b), m.rows))
-    aug = []
-    for i, row in enumerate(m.data):
-        r = dict(row)
-        bi = GaussianRational.of(b[i])
-        if bi:
-            r[m.cols] = bi
-        aug.append(r)
-    pivots, reduced = _row_echelon(aug, m.cols + 1)
-    if m.cols in pivots:
+    echelon = Echelon()
+    for row, bi in zip(m.data, b):
+        bi = GaussianRational.of(bi)
+        echelon.add({**row, m.cols: bi} if bi else row)
+    rref = echelon.view()
+    if m.cols in rref:
         return None
     x = [ZERO] * m.cols
-    for c, row in zip(pivots, reduced):
+    for c, row in rref.items():
         x[c] = row.get(m.cols, ZERO)
-    return x, pivots, reduced
+    return x, rref
 
 
 class Subspace:
     """A linear subspace of a coordinate space, given by a spanning set.
 
-    Keeps only its sparse reduced row echelon rows, so membership tests
-    and dimension counts are canonical; `basis` lists them as dense
-    vectors on demand.
+    Keeps only its RREF, as the sparse rows of an Echelon view, so
+    membership tests and dimension counts are canonical; `basis` lists
+    them as dense vectors on demand.
     """
 
-    __slots__ = ("ambient", "_rref", "_pivots", "_by_pivot")
+    __slots__ = ("ambient", "_by_pivot")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        rows = []
+        echelon = Echelon()
         for v in vectors:
             self._check_length(v)
-            row = _sparse(v)
-            if row:
-                rows.append(row)
-        self._reduce_rows(rows)
+            echelon.add(_sparse(v))
+        self._by_pivot = echelon.view()
 
     @classmethod
     def _from_rows(cls, ambient, rows):
-        """Subspace spanned by nonzero sparse row dicts, reduced in place."""
+        """Subspace spanned by sparse row dicts {column: scalar}."""
         self = cls.__new__(cls)
         self.ambient = ambient
-        self._reduce_rows(rows)
+        self._by_pivot = Echelon(rows).view()
         return self
-
-    def _reduce_rows(self, rows):
-        self._pivots, self._rref = _row_echelon(rows, self.ambient)
-        self._by_pivot = dict(zip(self._pivots, self._rref))
 
     @property
     def basis(self):
-        return [self._row_to_vec(r) for r in self._rref]
+        return [self._row_to_vec(r) for r in self._by_pivot.values()]
 
     @property
     def rows(self):
-        """The reduced row echelon basis as sparse rows {column: scalar},
-        shared with the subspace: read them, do not change them."""
-        return self._rref
+        """The RREF basis as sparse rows {column: scalar} in increasing
+        pivot order, shared with the subspace: read them, do not change
+        them."""
+        return list(self._by_pivot.values())
 
     def _row_to_vec(self, row):
         v = [ZERO] * self.ambient
@@ -341,7 +303,7 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._rref)
+        return len(self._by_pivot)
 
     def _check_length(self, v):
         if len(v) != self.ambient:
@@ -364,12 +326,12 @@ class Subspace:
         row = _sparse(v)
         if _residual(row, self._by_pivot):
             return None
-        return [row.get(c, ZERO) for c in self._pivots]
+        return [row.get(c, ZERO) for c in self._by_pivot]
 
     def combine(self, coords):
         """The vector with the given coefficients on self.basis."""
         v = [ZERO] * self.ambient
-        for c, row in zip(coords, self._rref):
+        for c, row in zip(coords, self._by_pivot.values()):
             if c:
                 for j, a in row.items():
                     v[j] = v[j] + c * a
@@ -378,7 +340,7 @@ class Subspace:
     def equals(self, other):
         """Equal subspaces have the same (canonical) reduced rows."""
         self._check(other)
-        return self._rref == other._rref
+        return self._by_pivot == other._by_pivot
 
     def _check(self, other):
         if self.ambient != other.ambient:
@@ -418,13 +380,14 @@ class Projector:
 
     def __init__(self, space, weights=None):
         self.space = space
-        rows = space._rref
+        rows = space.rows
         k = len(rows)
         # <v, b_i> = sum_j v_j * dual_i[j]
         self._dual = [{j: a.conjugate() if weights is None
                        else a.conjugate() * GaussianRational(weights[j])
                        for j, a in row.items()} for row in rows]
-        # G[i][j] = <b_j, b_i>; invert by row-reducing [G | I]
+        # G[i][j] = <b_j, b_i>; invert by row-reducing [G | I], whose
+        # RREF is [I | G^-1] unless G is singular and a pivot lands in I
         aug = []
         for i, dual in enumerate(self._dual):
             g = {k + i: ONE}
@@ -437,11 +400,11 @@ class Projector:
                 if acc:
                     g[j] = acc
             aug.append(g)
-        pivots, reduced = _row_echelon(aug, k)
-        if len(pivots) != k:
+        rref = Echelon(aug).view()
+        if list(rref) != list(range(k)):
             raise ArithmeticError("Gram matrix is singular")
         self._gram_inv = [{j - k: a for j, a in row.items() if j >= k}
-                          for row in reduced]
+                          for row in rref.values()]
 
     def coefficients(self, v):
         """Coefficients of the projection of v on space.basis."""
@@ -484,8 +447,8 @@ def min_norm_solve(m, b, weights=None):
     solved = _solve_rref(m, b)
     if solved is None:
         return None
-    x0, pivots, reduced = solved
-    ker = _kernel(m.cols, pivots, reduced)
+    x0, rref = solved
+    ker = _kernel(m.cols, rref)
     if ker.dim == 0:
         return x0
     p = orthogonal_project(ker, x0, weights)
