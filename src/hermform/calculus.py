@@ -75,31 +75,17 @@ class NotClosedError(ValueError):
 
 def apply_derivation(spec, assignments, form):
     """Extend a generator assignment to a graded derivation."""
-    out = spec.zero()
-    gens = spec.generators
+    out = {}
     for mono, coeff in form.components.items():
-        parity = 0
-        for i, e in enumerate(mono):
-            if e:
-                target = assignments.get(gens[i].name)
-                if target is not None:
-                    left = list(mono[:i]) + [e - 1] + [0] * (len(gens) - i - 1)
-                    right = [0] * (i + 1) + list(mono[i + 1:])
-                    sign_parity = parity + (e - 1) * (1 if gens[i].odd else 0)
-                    c = coeff * e
-                    if sign_parity % 2:
-                        c = -c
-                    term = spec.monomial_form(left, c).wedge(target)
-                    term = term.wedge(spec.monomial_form(right))
-                    out = out + term
-                parity += e * (1 if gens[i].odd else 0)
-    return out
+        for m, c in _derive_monomial(spec, assignments, mono).items():
+            out[m] = out.get(m, ZERO) + coeff * c
+    return Form(spec, out)
 
 
 def _derive_monomial(spec, assignments, mono):
-    """apply_derivation on one basis monomial, as {monomial: coeff}: the
-    same Leibniz sum, with each product taken by _merge_monomials and no
-    Form built."""
+    """The derivation of one basis monomial as {monomial: coeff}: the
+    Leibniz sum over its factors, each product taken by _merge_monomials
+    and no Form built."""
     gens = spec.generators
     out = {}
     parity = 0

@@ -183,9 +183,10 @@ def load_with_action(identifier, parameters=None):
         return spec, example1_action(spec)
     if identifier.startswith("torus:"):
         try:
-            return torus(int(identifier[len("torus:"):])), None
+            n = int(identifier[len("torus:"):])
         except ValueError:
             raise CatalogError("bad torus dimension in %r" % identifier)
+        return torus(n), None
     if identifier.startswith("nakamura:"):
         return nakamura(identifier[len("nakamura:"):], parameters), None
     if identifier.startswith("ce:"):
@@ -193,9 +194,10 @@ def load_with_action(identifier, parameters=None):
         merged = dict(raw)
         merged.update(parameters or {})
         try:
-            return calabi_eckmann(int(merged["u"]), int(merged["v"])), None
+            u, v = int(merged["u"]), int(merged["v"])
         except (KeyError, ValueError):
             raise CatalogError("ce needs integer parameters u and v")
+        return calabi_eckmann(u, v), None
     raise CatalogError("unknown catalog identifier %r" % identifier)
 
 

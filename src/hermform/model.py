@@ -9,8 +9,9 @@ that canonical order, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 
 from .scalars import GaussianRational, ZERO, ONE
 
@@ -18,6 +19,12 @@ __all__ = [
     "GeneratorSpec", "ModelSpec", "Form", "DiagonalAction",
     "ModelError", "ModelMismatch",
 ]
+
+
+# The most monomials (the product of the truncations) a model may have:
+# the monomial table lists every one, so a larger model is refused before
+# it is enumerated.
+MAX_MONOMIALS = 2 ** 16
 
 
 class ModelError(ValueError):
@@ -34,14 +41,14 @@ class GeneratorSpec:
     bidegree: tuple          # (p, q)
     truncation: int          # g^truncation = 0; always 2 for odd generators
     conjugate: str           # name of the conjugate generator (self allowed)
+    # derived once from bidegree: products read them per generator
+    degree: int = field(init=False, compare=False, repr=False)
+    odd: bool = field(init=False, compare=False, repr=False)
 
-    @property
-    def degree(self):
-        return self.bidegree[0] + self.bidegree[1]
-
-    @property
-    def odd(self):
-        return self.degree % 2 == 1
+    def __post_init__(self):
+        degree = self.bidegree[0] + self.bidegree[1]
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "odd", degree % 2 == 1)
 
 
 class ModelSpec:
@@ -155,6 +162,11 @@ class ModelSpec:
 
     def _all_monomials(self):
         if not hasattr(self, "_mono_table"):
+            count = prod(g.truncation for g in self.generators)
+            if count > MAX_MONOMIALS:
+                raise ModelError(
+                    "model has %d monomials, more than the limit of %d"
+                    % (count, MAX_MONOMIALS))
             table = {}
             ranges = [range(g.truncation) for g in self.generators]
             for exps in product(*ranges):

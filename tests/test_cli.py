@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from hermform import linalg
+from hermform import linalg, model
 from hermform.cli import paper_notation, run
 from hermform.catalog import engine_for, load
 from hermform.obstructions import torus_table
@@ -132,6 +132,23 @@ def test_missing_model_is_user_error():
     assert "needs --model or --file" in err
     code, _, _ = invoke(["cohomology", "--model", "no-such-model"])
     assert code == 1
+
+
+def test_too_many_monomials_is_user_error_before_enumeration(monkeypatch,
+                                                            tmp_path):
+    def enumerate_all(*ranges):
+        raise AssertionError("the monomials were enumerated")
+    monkeypatch.setattr(model, "product", enumerate_all)
+    code, out, err = invoke(["cohomology", "--model", "torus:40"])
+    assert (code, out) == (1, "")
+    assert "%d monomials" % 2 ** 80 in err
+    assert "limit of %d" % model.MAX_MONOMIALS in err
+    path = tmp_path / "big.hf"
+    path.write_text("algebra big dim 1\ngen w : (1,1) even trunc 100000\n",
+                    encoding="utf-8")
+    code, out, err = invoke(["cohomology", "--file", str(path)])
+    assert (code, out) == (1, "")
+    assert "100000 monomials" in err
 
 
 @pytest.mark.parametrize("fault", (ArithmeticError("Gram matrix is singular"),
