@@ -270,11 +270,10 @@ class Subspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        echelon = Echelon()
+        vectors = list(vectors)
         for v in vectors:
             self._check_length(v)
-            echelon.add(_sparse(v))
-        self._by_pivot = echelon.view()
+        self._by_pivot = Echelon(map(_sparse, vectors)).view()
 
     @classmethod
     def _from_rows(cls, ambient, rows):

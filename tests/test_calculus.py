@@ -13,6 +13,7 @@ from hermform.calculus import (SHIFT, THEORY, AssemblyError, HodgeEngine,
 from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
                               torus)
 from hermform.cli import run
+from hermform.dsl import parse
 from hermform.linalg import Matrix, inner, solve
 from hermform.model import GeneratorSpec, ModelError, ModelSpec
 from hermform.scalars import GaussianRational, ONE, ZERO
@@ -317,21 +318,74 @@ def test_unknown_theory_has_its_own_class():
     assert issubclass(UnknownTheoryError, ValueError)
 
 
-@pytest.mark.parametrize("ident", SAMPLE_IDS + ("example1:invariant",))
-def test_assembled_matrices_match_the_derivation(ident):
+def _leibniz_reference(spec, assignments, form):
+    """The graded derivation extending a generator assignment, written
+    independently of the library: each Leibniz term is built as Forms and
+    multiplied with Form.wedge."""
+    out = spec.zero()
+    gens = spec.generators
+    for mono, coeff in form.components.items():
+        parity = 0
+        for i, e in enumerate(mono):
+            if e:
+                target = assignments.get(gens[i].name)
+                if target is not None:
+                    left = list(mono[:i]) + [e - 1] + [0] * (len(gens) - i - 1)
+                    right = [0] * (i + 1) + list(mono[i + 1:])
+                    sign_parity = parity + (e - 1) * (1 if gens[i].odd else 0)
+                    c = coeff * e
+                    if sign_parity % 2:
+                        c = -c
+                    term = spec.monomial_form(left, c).wedge(target)
+                    term = term.wedge(spec.monomial_form(right))
+                    out = out + term
+                parity += e * (1 if gens[i].odd else 0)
+    return out
+
+
+def _assert_matrices_match_reference(engine):
     """Column j of each del/dbar matrix is the derivation of basis
-    monomial j as apply_derivation computes it on Forms."""
-    engine = engine_for(ident)
+    monomial j as _leibniz_reference computes it on Forms."""
     spec = engine.spec
     for bid in engine.degrees("dolbeault"):
         for which in ("del", "dbar"):
+            assignments = (spec.del_assignments if which == "del"
+                           else spec.dbar_assignments)
             mat = engine.matrix(which, *bid)
             target = engine.basis(*(a + b for a, b in zip(bid, SHIFT[which])))
             for j, mono in enumerate(engine.basis(*bid)):
-                image = engine._derive(which, spec.monomial_form(mono))
+                image = _leibniz_reference(spec, assignments,
+                                           spec.monomial_form(mono))
                 column = {target[i]: row[j] for i, row in enumerate(mat.data)
                           if j in row}
                 assert column == image.components, (which, mono)
+
+
+@pytest.mark.parametrize("ident", SAMPLE_IDS + ("example1:invariant",))
+def test_assembled_matrices_match_the_derivation(ident):
+    _assert_matrices_match_reference(engine_for(ident))
+
+
+# An even generator with a nonzero differential, so the Leibniz sum's
+# factor e·g^(e-1) shows: del(w^2) = 2 w y and dbar(w^2) = 2 w yb.
+EVEN_DIFFERENTIAL = """\
+algebra ew dim 3
+gen w : (1,1) even trunc 3 real
+gen y : (2,1) odd conj yb
+gen yb : (1,2) odd conj y
+del w = y
+dbar w = yb
+"""
+
+
+def test_derivation_of_an_even_power():
+    engine = HodgeEngine(parse(EVEN_DIFFERENTIAL))
+    spec = engine.spec
+    w, y, yb = spec.gen("w"), spec.gen("y"), spec.gen("yb")
+    two = GaussianRational(2)
+    assert engine._derive("del", w.wedge(w)).equals(w.wedge(y) * two)
+    assert engine._derive("dbar", w.wedge(w)).equals(w.wedge(yb) * two)
+    _assert_matrices_match_reference(engine)
 
 
 def test_product_table_matches_wedge():
