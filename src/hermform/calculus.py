@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import reduce
 
 from . import linalg
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix
 from .model import Form, ModelError, _merge_monomials
 from .scalars import GaussianRational, ONE, ZERO
 
@@ -215,6 +215,7 @@ class HodgeEngine:
         self._matrix = {}
         self._adjoint = {}
         self._star = {}
+        self._rrefs = {}
         self._harmonic = {}
         self._dim = {}
         self._projection = {}
@@ -414,12 +415,31 @@ class HodgeEngine:
                     for i, row in enumerate(adj.data)]
         return adj
 
+    def _exact_sources(self, theory, degree):
+        """(op, source degree) of each exact operator that maps into
+        degree from a degree that exists."""
+        return [(op, src) for op in _theory(theory).exact
+                for src in (_source(degree, op),) if src is not None]
+
     def _exact_into(self, theory, degree):
         """Matrix whose column span is the theory's exact forms at degree."""
-        parts = [self.matrix(op, *src) for op in _theory(theory).exact
-                 for src in (_source(degree, op),) if src is not None]
-        return reduce(Matrix.hstack, parts,
+        return reduce(Matrix.hstack,
+                      [self.matrix(op, *src)
+                       for op, src in self._exact_sources(theory, degree)],
                       Matrix(len(self.basis(*degree)), 0))
+
+    def _rref(self, ops, degree):
+        """Echelon of the rows of the operators' matrices at degree,
+        stacked: their common kernel is the closed forms of a theory.
+        Built once per engine and shared, so never add to it; copy it."""
+        key = (ops, degree)
+        if key not in self._rrefs:
+            echelon = linalg.Echelon()
+            for op in ops:
+                for row in self.matrix(op, *degree).data:
+                    echelon.add(row)
+            self._rrefs[key] = echelon
+        return self._rrefs[key]
 
     def _validate_squares(self):
         for g in self.spec.generators:
@@ -492,24 +512,31 @@ class HodgeEngine:
         The co-exact conditions are built twice: as each exact operator
         after star (with the conjugate-linear star, X* is proportional
         to star X star for X in {del, dbar, del dbar, d}) and as its
-        weighted adjoint.  The two kernels must agree.
+        weighted adjoint.  Each is added to a copy of the shared RREF of
+        the closed conditions.  The two kernels must agree, that is the
+        two RREFs must be equal: two systems have the same kernel
+        exactly when their rows span the same space.
         """
         key = (theory,) + degree
         if key not in self._harmonic:
             ops = _theory(theory)
-            closed = [self.matrix(op, *degree) for op in ops.closed]
-            by_star = kernel_basis(reduce(Matrix.stack, closed + [
-                self._after_star(op, degree) for op in ops.exact]))
-            by_adjoint = kernel_basis(reduce(Matrix.stack, closed + [
-                self.adjoint_matrix(op, *degree) for op in ops.exact]))
-            if not by_star.equals(by_adjoint):
+            closed = self._rref(ops.closed, degree)
+            by_star, by_adjoint = closed.copy(), closed.copy()
+            for op in ops.exact:
+                for row in self._after_star(op, degree).data:
+                    by_star.add(row)
+                for row in self.adjoint_matrix(op, *degree).data:
+                    by_adjoint.add(row)
+            rref = by_star.view()
+            if rref != by_adjoint.view():
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-            forms = [self.form(row, *degree) for row in by_star.rows]
+            space = linalg._kernel(len(self.basis(*degree)), rref)
+            forms = [self.form(row, *degree) for row in space.rows]
             self._harmonic[key] = HarmonicBasis(
                 theory, degree if len(degree) > 1 else degree[0], forms,
-                by_star)
+                space)
         return self._harmonic[key]
 
     def de_rham_harmonic(self, k):
@@ -529,13 +556,20 @@ class HodgeEngine:
     # -- quotient dimensions (the inner-product-free oracle) -----------
 
     def cohomology_dim(self, theory, *degree):
-        """dim ker(closed) - rank(exact into the degree)."""
+        """dim ker(closed) - rank(exact into the degree).  A single
+        exact operator's rank is read off its RREF at its source degree,
+        which another theory's closed forms share."""
         key = (theory,) + degree
         if key not in self._dim:
-            closed = reduce(Matrix.stack, [self.matrix(op, *degree)
-                                           for op in _theory(theory).closed])
-            self._dim[key] = (closed.cols - closed.rank()
-                              - self._exact_into(theory, degree).rank())
+            sources = self._exact_sources(theory, degree)
+            if len(sources) == 1:
+                (op, src), = sources
+                exact = len(self._rref((op,), src))
+            else:
+                exact = self._exact_into(theory, degree).rank()
+            self._dim[key] = (len(self.basis(*degree))
+                              - len(self._rref(_theory(theory).closed, degree))
+                              - exact)
         return self._dim[key]
 
     def betti(self, k):

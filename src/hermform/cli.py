@@ -251,8 +251,8 @@ def cmd_ce(args, out):
 
 
 def cmd_obstruct(args, out):
-    with open(args.input, "r", encoding="utf-8") as fh:
-        table = obstructions.DimTable.from_json(fh.read())
+    table = obstructions.DimTable.from_json(
+        dsl.read_text(args.input, obstructions.TableError))
     report = obstructions.analyze(table)
     for notion in sorted(report.verdicts):
         out.write("%s: %s\n" % (notion, report.verdicts[notion]))

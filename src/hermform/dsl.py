@@ -314,9 +314,19 @@ def parse_expression(spec, text):
     return parser.parse_expr(spec, text, 1)
 
 
-def parse_file(path):
+def read_text(path, error=DslError):
+    """The file's text; a file that is not UTF-8 raises `error`, a user
+    error that names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise error("%s is not UTF-8 text (byte %d: %s)"
+                        % (path, e.start, e.reason)) from None
+
+
+def parse_file(path):
+    return parse(read_text(path))
 
 
 # -- printer -----------------------------------------------------------

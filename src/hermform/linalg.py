@@ -82,13 +82,6 @@ class Matrix:
                 m.data[j][i] = a.conjugate()
         return m
 
-    def stack(self, other):
-        """Vertical stack: rows of self above rows of other."""
-        if self.cols != other.cols:
-            raise DimensionMismatch("column counts differ")
-        return Matrix(self.rows + other.rows, self.cols,
-                      [dict(r) for r in self.data] + [dict(r) for r in other.data])
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ")
@@ -204,6 +197,13 @@ class Echelon:
     def view(self):
         """The RREF as {pivot column: row} in increasing pivot order."""
         return dict(sorted(self._by_pivot.items()))
+
+    def copy(self):
+        """An independent Echelon of the same span.  `add` rewrites the
+        rows it keeps, so the copy gets its own row dicts."""
+        other = Echelon()
+        other._by_pivot = {c: dict(row) for c, row in self._by_pivot.items()}
+        return other
 
 
 def kernel_basis(m):

@@ -291,6 +291,77 @@ def test_de_rham_cross_check_fires(monkeypatch):
     assert run(argv, out=io.StringIO(), err=io.StringIO()) == 2
 
 
+# a degree of iwasawa with nonzero exact forms, so nonzero co-exact rows
+CROSS_CHECK_DEGREES = (("dolbeault", (1, 2)), ("conj_dolbeault", (2, 1)),
+                       ("bott_chern", (2, 2)), ("aeppli", (1, 2)),
+                       ("de_rham", (2,)))
+
+
+def _zero_adjoint(monkeypatch):
+    monkeypatch.setattr(HodgeEngine, "_weighted_adjoint",
+                        lambda self, fwd, src, dst: Matrix(fwd.cols, fwd.rows))
+
+
+def _zero_star(monkeypatch):
+    after_star = HodgeEngine._after_star
+
+    def zero(self, op, degree):
+        m = after_star(self, op, degree)
+        return Matrix(m.rows, m.cols)
+    monkeypatch.setattr(HodgeEngine, "_after_star", zero)
+
+
+@pytest.mark.parametrize("zero_route", (_zero_adjoint, _zero_star))
+@pytest.mark.parametrize("theory, degree", CROSS_CHECK_DEGREES)
+def test_cross_check_fires_on_either_route(monkeypatch, zero_route, theory,
+                                           degree):
+    """Dropping the co-exact rows of either route leaves it the closed
+    forms only, whose RREF differs from the other route's."""
+    zero_route(monkeypatch)
+    with pytest.raises(AssemblyError, match="star-based and adjoint-based"):
+        HodgeEngine(load("iwasawa")).harmonic_space(theory, *degree)
+
+
+def test_bigraded_cross_check_exits_2(monkeypatch):
+    _zero_star(monkeypatch)
+    argv = ["formality", "--model", "iwasawa", "--notion", "dolbeault"]
+    err = io.StringIO()
+    assert run(argv, out=io.StringIO(), err=err) == 2
+    assert err.getvalue().startswith(
+        "internal invariant violated: star-based and adjoint-based "
+        "dolbeault harmonic spaces disagree")
+
+
+def generator_metric(spec, gen_weights):
+    """The metric whose monomial weights are the products of their
+    generators' weights."""
+    weights = {}
+    for bid in spec.bidegrees():
+        for mono in spec.basis(*bid):
+            w = Fraction(1)
+            for g, e in zip(gen_weights, mono):
+                w *= g ** e
+            weights[mono] = w
+    return InnerProduct(weights)
+
+
+def test_warm_engine_gives_the_cold_table():
+    """Harmonic spaces add co-exact rows to copies of the shared closed
+    RREFs, never to the RREFs that cohomology_dim reads."""
+    spec = load("nakamura:V.10")
+    rng = random.Random(89)
+    metric = generator_metric(spec, [Fraction(rng.randint(1, 4),
+                                              rng.randint(1, 3))
+                                     for _ in spec.generators])
+    warm = HodgeEngine(spec, metric)
+    for theory in THEORY:
+        for degree in warm.degrees(theory):
+            warm.harmonic_space(theory, *degree)
+    cold = HodgeEngine(spec, metric)
+    assert warm.cohomology_table().to_dict() \
+        == cold.cohomology_table().to_dict()
+
+
 def test_de_rham_membership_outside_subcomplex():
     engine = engine_for("example1:invariant")
     spec = engine.spec

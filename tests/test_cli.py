@@ -126,6 +126,16 @@ def test_parse_verb(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", (["parse"], ["obstruct", "--input"]))
+def test_non_utf8_file_is_user_error(tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = invoke(argv + [str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: %s is not UTF-8 text (byte 0: invalid start " \
+        "byte)\n" % path
+
+
 def test_missing_model_is_user_error():
     code, _, err = invoke(["cohomology"])
     assert code == 1

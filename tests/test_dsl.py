@@ -102,6 +102,9 @@ def test_parse_file(tmp_path):
     path.write_text(IWASAWA_SRC, encoding="utf-8")
     spec = dsl.parse_file(str(path))
     assert spec.name == "iwasawa"
+    path.write_bytes(IWASAWA_SRC.encode("utf-8") + b"\xff")
+    with pytest.raises(DslError, match="m.alg is not UTF-8 text"):
+        dsl.parse_file(str(path))
 
 
 def test_printer_splits_mixed_coefficients():

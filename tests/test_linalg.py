@@ -128,6 +128,24 @@ def test_echelon_add_reports_rank_growth():
         assert rows == snapshot  # the rows added are left as they are
 
 
+def test_echelon_copy_is_independent():
+    rng = random.Random(71)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        rows = [rand_matrix(rng, 1, n).data[0]
+                for _ in range(rng.randint(0, 6))]
+        extra = [rand_matrix(rng, 1, n).data[0]
+                 for _ in range(rng.randint(1, 4))]
+        original = linalg.Echelon(rows)
+        before = {c: dict(row) for c, row in original.view().items()}
+        copy = original.copy()
+        for row in extra:
+            copy.add(row)
+        assert original.view() == before
+        # the RREF of a span does not depend on the order of its rows
+        assert copy.view() == linalg.Echelon(reversed(rows + extra)).view()
+
+
 def test_mul_rows_matches_mul_vec():
     rng = random.Random(61)
     for _ in range(20):
