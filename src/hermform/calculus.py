@@ -75,45 +75,88 @@ class NotClosedError(ValueError):
 
 def apply_derivation(spec, assignments, form):
     """Extend a generator assignment to a graded derivation."""
+    table = _leibniz_table(spec, assignments)
     out = {}
     for mono, coeff in form.components.items():
-        for m, c in _derive_monomial(spec, assignments, mono).items():
+        for m, c in _derive_monomial(table, mono).items():
             out[m] = out.get(m, ZERO) + coeff * c
     return Form(spec, out)
 
 
-def _derive_monomial(spec, assignments, mono):
+def _leibniz_table(spec, assignments):
+    """(odd, truncation, terms) for a derivation: per generator position
+    the generator's odd parity (0 or 1) and truncation, and in `terms`
+    None where the generator has no image, else one (support, c, -c) per
+    term c*t of its image, support [(position k, exponent t_k, odd_k)]
+    over the positions of t.  Built once per model for each of its two
+    differentials, any other assignment anew; it holds ints and scalars,
+    no Form."""
+    which = ("del" if assignments is spec.del_assignments
+             else "dbar" if assignments is spec.dbar_assignments else None)
+    table = spec._leibniz.get(which)
+    if table is None:
+        gens = spec.generators
+        odd = tuple(int(g.odd) for g in gens)
+        terms = []
+        for g in gens:
+            target = assignments.get(g.name)
+            terms.append(None if target is None else tuple(
+                (tuple((k, t, odd[k]) for k, t in enumerate(mt) if t), c, -c)
+                for mt, c in target.components.items()))
+        table = (odd, tuple(g.truncation for g in gens), tuple(terms))
+        if which is not None:
+            spec._leibniz[which] = table
+    return table
+
+
+def _derive_monomial(table, mono):
     """The derivation of one basis monomial as {monomial: coeff}: the
-    Leibniz sum over its factors, each product taken by _merge_monomials
-    and no Form built."""
-    gens = spec.generators
+    Leibniz sum over its factors, read off the table and no Form built.
+
+    With P[k] the odd degree of the factors before position k, the term
+    c*t of the factor g_i^e lands on mono - e_i + t (unless an exponent
+    of t's support reaches its truncation) as e*c times the sign of
+    left * t * right, left = g_0^m_0 ... g_i^(e-1).  Its parity is
+    s = P[i] + (e-1)*odd_i, plus t_k * (s - P[k+1]) for each odd k < i,
+    where t passes the rest of left, plus t_k * (P[k] - P[i+1]) for each
+    odd k > i+1, where the factors of right before k pass t_k.
+    """
+    odd, trunc, terms = table
+    prefix = [0]
+    for e, o in zip(mono, odd):
+        prefix.append(prefix[-1] + e * o)
     out = {}
-    parity = 0
     for i, e in enumerate(mono):
-        if not e:
+        if not e or terms[i] is None:
             continue
-        g = gens[i]
-        target = assignments.get(g.name)
-        if target is not None:
-            left = mono[:i] + (e - 1,) + (0,) * (len(gens) - i - 1)
-            right = (0,) * (i + 1) + mono[i + 1:]
-            negate = (parity + (e - 1) * g.odd) % 2
-            for mt, ct in target.components.items():
-                m, s1 = _merge_monomials(spec, left, mt)
-                if m is None:
-                    continue
-                m, s2 = _merge_monomials(spec, m, right)
-                if m is None:
-                    continue
-                c = ct * e
-                if negate ^ (s1 != s2):
-                    c = -c
-                v = out.get(m, ZERO) + c
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        parity += e * g.odd
+        base = prefix[i] + (e - 1) * odd[i]
+        after = prefix[i + 1]
+        for support, c, neg in terms[i]:
+            m = list(mono)
+            m[i] = e - 1
+            parity = base
+            for k, t, o in support:
+                x = m[k] + t
+                if x >= trunc[k]:
+                    break
+                m[k] = x
+                if o:
+                    if k < i:
+                        parity += t * (base - prefix[k + 1])
+                    elif k > i + 1:
+                        parity += t * (prefix[k] - after)
+            else:
+                v = neg if parity % 2 else c
+                if e != 1:
+                    v = v * e
+                m = tuple(m)
+                old = out.get(m)
+                if old is not None:
+                    v = old + v
+                    if not v:
+                        del out[m]
+                        continue
+                out[m] = v
     return out
 
 
@@ -211,10 +254,12 @@ class HodgeEngine:
         self.filter = monomial_filter
         self._basis = {}
         self._index = {}
+        self._weight_pairs = {(1, 1): (ONE, ONE)}
         self._weight_scalars = {}
         self._matrix = {}
         self._adjoint = {}
         self._star = {}
+        self._star_blocks = {}
         self._rrefs = {}
         self._harmonic = {}
         self._dim = {}
@@ -267,15 +312,22 @@ class HodgeEngine:
     def weights(self, *degree):
         return [self.ip.weight(m) for m in self.basis(*degree)]
 
+    def _weight_pair(self, w):
+        """(w, 1/w) as scalars for a weight w, built once per distinct
+        weight and engine; the unit weight is (ONE, ONE)."""
+        key = (w.numerator, w.denominator)
+        pair = self._weight_pairs.get(key)
+        if pair is None:
+            scalar = GaussianRational(w)
+            pair = self._weight_pairs[key] = (scalar, ONE / scalar)
+        return pair
+
     def _scalar_weights(self, degree):
-        """(w, 1/w) on the degree's basis as scalars, built once; equal
-        weights share their scalars."""
+        """(w, 1/w) on the degree's basis as scalars, built once."""
         if degree not in self._weight_scalars:
-            ws = self.weights(*degree)
-            scalar = {x: GaussianRational(x) for x in set(ws)}
-            inverse = {x: ONE / w for x, w in scalar.items()}
-            self._weight_scalars[degree] = ([scalar[x] for x in ws],
-                                            [inverse[x] for x in ws])
+            pairs = [self._weight_pair(w) for w in self.weights(*degree)]
+            self._weight_scalars[degree] = ([w for w, _ in pairs],
+                                            [inv for _, inv in pairs])
         return self._weight_scalars[degree]
 
     def row(self, components, *degree):
@@ -378,9 +430,10 @@ class HodgeEngine:
         index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
         assignments = (self.spec.del_assignments if op == "del"
                        else self.spec.dbar_assignments)
+        table = _leibniz_table(self.spec, assignments)
         mat = Matrix(len(index), len(src))
         for j, mono in enumerate(src):
-            image = _derive_monomial(self.spec, assignments, mono)
+            image = _derive_monomial(table, mono)
             for m, c in image.items():
                 if m not in index:
                     raise AssemblyError(
@@ -407,12 +460,18 @@ class HodgeEngine:
         return self.adjoint_matrix("ddbar", p, q)
 
     def _weighted_adjoint(self, fwd, src, dst):
-        """W_src^-1 fwd^H W_dst: adjoint in the weighted inner products."""
-        adj = fwd.conj_transpose()
+        """W_src^-1 fwd^H W_dst: adjoint in the weighted inner products,
+        in one pass over fwd; a unit weight costs no product."""
         inv = self._scalar_weights(src)[1]
         wdst = self._scalar_weights(dst)[0]
-        adj.data = [{j: inv[i] * a * wdst[j] for j, a in row.items()}
-                    for i, row in enumerate(adj.data)]
+        adj = Matrix(fwd.cols, fwd.rows)
+        for i, row in enumerate(fwd.data):
+            w = wdst[i]
+            for j, a in row.items():
+                a = a.conjugate()
+                if inv[j] is not ONE:
+                    a = inv[j] * a
+                adj.data[j][i] = a if w is ONE else a * w
         return adj
 
     def _exact_sources(self, theory, degree):
@@ -434,10 +493,12 @@ class HodgeEngine:
         Built once per engine and shared, so never add to it; copy it."""
         key = (ops, degree)
         if key not in self._rrefs:
-            echelon = linalg.Echelon()
-            for op in ops:
-                for row in self.matrix(op, *degree).data:
-                    echelon.add(row)
+            # a stack of several starts from the cached RREF of all but
+            # its last operator, which another theory shares
+            echelon = (self._rref(ops[:-1], degree).copy() if len(ops) > 1
+                       else linalg.Echelon())
+            for row in self.matrix(ops[-1], *degree).data:
+                echelon.add(row)
             self._rrefs[key] = echelon
         return self._rrefs[key]
 
@@ -465,8 +526,8 @@ class HodgeEngine:
             comp = tuple(v - e for v, e in zip(self.spec.volume_monomial,
                                                mono))
             sign = _merge_monomials(self.spec, mono, comp)[1]
-            self._star[mono] = (comp, GaussianRational(
-                sign * self.ip.weight(mono)))
+            w = self._weight_pair(self.ip.weight(mono))[0]
+            self._star[mono] = (comp, w if sign > 0 else -w)
         return self._star[mono]
 
     def star(self, form):
@@ -478,11 +539,18 @@ class HodgeEngine:
         return out
 
     def _after_star(self, op, degree):
-        """Matrix K with: op(star a) = 0  <=>  K a = 0.
+        """Matrix K with: op(star a) = 0  <=>  K a = 0, built once per
+        engine by _star_block."""
+        key = (op, degree)
+        if key not in self._star_blocks:
+            self._star_blocks[key] = self._star_block(op, degree)
+        return self._star_blocks[key]
 
-        Read off op at the dual degree: star sends basis monomial j to
-        c_j times its complement and is conjugate-linear, so column j of
-        K is c_j times the conjugate of op's column at the complement.
+    def _star_block(self, op, degree):
+        """The matrix of _after_star, read off op at the dual degree: star
+        sends basis monomial j to c_j times its complement and is
+        conjugate-linear, so column j is c_j times the conjugate of op's
+        column at the complement.
         """
         n = self.spec.n
         dual = ((2 * n - degree[0],) if len(degree) == 1
@@ -501,7 +569,8 @@ class HodgeEngine:
         for entries, out in zip(fwd.data, mat.data):
             for i, a in entries.items():
                 j, c = column[i]
-                out[j] = c * a.conjugate()
+                a = a.conjugate()
+                out[j] = a if c is ONE else c * a
         return mat
 
     # -- harmonic spaces -----------------------------------------------

@@ -75,13 +75,6 @@ class Matrix:
             out.append(acc)
         return out
 
-    def conj_transpose(self):
-        m = Matrix(self.cols, self.rows)
-        for i, row in enumerate(self.data):
-            for j, a in row.items():
-                m.data[j][i] = a.conjugate()
-        return m
-
     def hstack(self, other):
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ")
@@ -176,12 +169,15 @@ class Echelon:
 
     def add(self, row):
         """Add the sparse row; whether it was outside the span so far."""
+        if not row:
+            return False
         row = _residual(row, self._by_pivot)
         if not row:
             return False
         c = min(row)
-        inv = ONE / row[c]
-        row = {j: a * inv for j, a in row.items()}
+        if row[c] != 1:
+            inv = ONE / row[c]
+            row = {j: a * inv for j, a in row.items()}
         for other in self._by_pivot.values():
             a = other.get(c)
             if a is not None:

@@ -69,6 +69,8 @@ class ModelSpec:
             raise ModelError("duplicate generator names")
         self.parameters = dict(parameters or {})
         self._basis_cache = {}
+        # the Leibniz table of each differential, built by calculus
+        self._leibniz = {}
         self._validate_generators()
         self.del_assignments = self._coerce_assignments(del_assignments or {})
         self.dbar_assignments = self._coerce_assignments(dbar_assignments or {})

@@ -113,6 +113,9 @@ class GaussianRational:
         return GaussianRational.of(other) / self
 
     def conjugate(self):
+        # immutable, so a real value is its own conjugate
+        if not self._b:
+            return self
         return _make(self._a, -self._b, self._d)
 
     def norm_sq(self):

@@ -146,6 +146,31 @@ def test_echelon_copy_is_independent():
         assert copy.view() == linalg.Echelon(reversed(rows + extra)).view()
 
 
+def test_echelon_keeps_its_own_rows():
+    """Changing a row after adding it leaves the RREF as it was, also for
+    a row that is already reduced with 1 at its pivot, which add keeps
+    without rescaling; a multiple of a row gives the same RREF."""
+    rng = random.Random(73)
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        # the first row is reduced, with 1 at its pivot, when it is added
+        rows = [{0: ONE, n - 1: GaussianRational(2, -1)}]
+        rows += [rand_matrix(rng, 1, n).data[0] for _ in range(3)]
+        echelon = linalg.Echelon()
+        for row in rows:
+            echelon.add(row)
+        before = {c: dict(row) for c, row in echelon.view().items()}
+        for row in rows:
+            row[0] = GaussianRational(7, 5)
+        assert echelon.view() == before
+    three = GaussianRational(3)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        row = rand_matrix(rng, 1, n, density=0.7).data[0]
+        scaled = {j: three * a for j, a in row.items()}
+        assert linalg.Echelon([row]).view() == linalg.Echelon([scaled]).view()
+
+
 def test_mul_rows_matches_mul_vec():
     rng = random.Random(61)
     for _ in range(20):
@@ -238,14 +263,3 @@ def test_dimension_mismatch_raised():
         Subspace(2, [[1, 2, 3]])
     with pytest.raises(DimensionMismatch):
         inner([ONE], [ONE, ONE])
-
-
-def test_conj_transpose_adjoint_identity():
-    rng = random.Random(23)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        m = rand_matrix(rng, rows, cols)
-        u = rand_vec(rng, cols)
-        v = rand_vec(rng, rows)
-        # <M u, v> = <u, M^H v> (unweighted)
-        assert inner(m.mul_vec(u), v) == inner(u, m.conj_transpose().mul_vec(v))
