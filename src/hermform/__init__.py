@@ -6,7 +6,7 @@ geometric-formality notions, evaluates triple ABC-Massey products, and
 runs dimension-based obstruction tests.
 """
 
-from .scalars import GaussianRational, parse_scalar
+from .scalars import GaussianRational, ScalarLiteralError, parse_scalar
 from .model import (DiagonalAction, Form, GeneratorSpec, ModelError,
                     ModelSpec, invariant_submodel)
 from .calculus import (AssemblyError, CohomologyTable, HodgeEngine,
@@ -23,7 +23,7 @@ from .obstructions import (DimTable, TableError, analyze, blowup_derham,
 __version__ = "1.0.0"
 
 __all__ = [
-    "GaussianRational", "parse_scalar",
+    "GaussianRational", "ScalarLiteralError", "parse_scalar",
     "DiagonalAction", "Form", "GeneratorSpec", "ModelError", "ModelSpec",
     "invariant_submodel",
     "AssemblyError", "CohomologyTable", "HodgeEngine", "InnerProduct",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 
 from . import linalg
 from .linalg import Matrix
@@ -242,7 +241,7 @@ class HodgeEngine:
     """Assembled differentials + harmonic-space computations for a model.
 
     A degree is given as (p, q) for a bidegree or as (k,) for a total
-    degree; `basis`, `weights`, `coords`, `matrix`, `adjoint_matrix`,
+    degree; `basis`, `weights`, `row`, `matrix`, `adjoint_matrix`,
     `harmonic_space` and `cohomology_dim` take either.  monomial_filter
     restricts to a subcomplex spanned by a subset of monomials (used for
     invariant submodels); the restriction is validated at assembly time.
@@ -263,6 +262,7 @@ class HodgeEngine:
         self._rrefs = {}
         self._harmonic = {}
         self._dim = {}
+        self._exact = {}
         self._projection = {}
         self._product = {}
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
@@ -344,13 +344,6 @@ class HodgeEngine:
         coefficients on the degree's basis."""
         basis = self.basis(*degree)
         return Form(self.spec, {basis[j]: c for j, c in sorted(row.items())})
-
-    def coords(self, form, *degree):
-        """Coefficient vector of form on the degree's basis."""
-        vec = [ZERO] * len(self.index(*degree))
-        for j, c in self.row(form.components, *degree).items():
-            vec[j] = c
-        return vec
 
     def product(self, ma, mb):
         """(monomial, +-1) with ma * mb = +-monomial, or (None, 0) when
@@ -480,12 +473,17 @@ class HodgeEngine:
         return [(op, src) for op in _theory(theory).exact
                 for src in (_source(degree, op),) if src is not None]
 
-    def _exact_into(self, theory, degree):
-        """Matrix whose column span is the theory's exact forms at degree."""
-        return reduce(Matrix.hstack,
-                      [self.matrix(op, *src)
-                       for op, src in self._exact_sources(theory, degree)],
-                      Matrix(len(self.basis(*degree)), 0))
+    def _exact_span(self, theory, degree):
+        """The theory's exact forms at degree, as the Subspace spanned by
+        the columns of its exact operators into degree; built once per
+        engine."""
+        key = (theory,) + degree
+        if key not in self._exact:
+            self._exact[key] = linalg.Subspace._from_rows(
+                len(self.basis(*degree)),
+                [col for op, src in self._exact_sources(theory, degree)
+                 for col in self.matrix(op, *src).columns()])
+        return self._exact[key]
 
     def _rref(self, ops, degree):
         """Echelon of the rows of the operators' matrices at degree,
@@ -627,7 +625,8 @@ class HodgeEngine:
     def cohomology_dim(self, theory, *degree):
         """dim ker(closed) - rank(exact into the degree).  A single
         exact operator's rank is read off its RREF at its source degree,
-        which another theory's closed forms share."""
+        which another theory's closed forms share; Aeppli's two read off
+        the exact span that class_of shares."""
         key = (theory,) + degree
         if key not in self._dim:
             sources = self._exact_sources(theory, degree)
@@ -635,7 +634,7 @@ class HodgeEngine:
                 (op, src), = sources
                 exact = len(self._rref((op,), src))
             else:
-                exact = self._exact_into(theory, degree).rank()
+                exact = self._exact_span(theory, degree).dim
             self._dim[key] = (len(self.basis(*degree))
                               - len(self._rref(_theory(theory).closed, degree))
                               - exact)
@@ -646,38 +645,44 @@ class HodgeEngine:
 
     # -- classes -------------------------------------------------------
 
-    def _projection_for(self, theory, degree):
-        """(Projector onto the harmonic space, RREF of the exact forms)."""
+    def _projector(self, theory, degree):
+        """Projector onto the harmonic space, built once per engine."""
         key = (theory,) + degree
         if key not in self._projection:
-            self._projection[key] = (
-                linalg.Projector(self.harmonic_space(theory, *degree).space,
-                                 self.weights(*degree)),
-                linalg.column_space(self._exact_into(theory, degree)))
+            self._projection[key] = linalg.Projector(
+                self.harmonic_space(theory, *degree).space,
+                self.weights(*degree))
         return self._projection[key]
 
     def class_of(self, form, theory):
-        """Coordinates of the harmonic projection in the harmonic basis.
+        """Coordinates of the harmonic projection in the harmonic basis,
+        as `class_row` gives them for the form's row."""
+        degree = self._degree(theory, form)
+        if degree is None:
+            raise NotClosedError("form is not homogeneous")
+        return self.class_row(theory, self.row(form.components, *degree),
+                              *degree)[0]
+
+    def class_row(self, theory, row, *degree):
+        """(coordinates in the harmonic basis, harmonic projection as a
+        sparse row) for the sparse row at the degree.
 
         Checks the theory's closedness precondition, projects, and
         verifies that the residual is exact in the theory's sense.
         """
-        degree = self._degree(theory, form)
-        if degree is None:
-            raise NotClosedError("form is not homogeneous")
-        vec = self.coords(form, *degree)
         for op in _theory(theory).closed:
-            if any(self.matrix(op, *degree).mul_vec(vec)):
+            if self.matrix(op, *degree).mul_rows([row])[0]:
                 raise NotClosedError("form is not %s-closed at %s"
                                      % (theory, _label(degree)))
-        projector, exact = self._projection_for(theory, degree)
-        coeffs = projector.coefficients(vec)
-        if not exact.contains(
-                linalg.vec_sub(vec, projector.space.combine(coeffs))):
+        projector = self._projector(theory, degree)
+        coeffs = projector.coefficients(row)
+        projection = projector.combine(coeffs)
+        if not self._exact_span(theory, degree).contains_row(
+                linalg.axpy(dict(row), -ONE, projection)):
             raise AssemblyError(
                 "harmonic decomposition failed for %s at %s"
                 % (theory, _label(degree)))
-        return coeffs
+        return coeffs, projection
 
     # -- tables --------------------------------------------------------
 

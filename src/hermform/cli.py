@@ -18,7 +18,7 @@ from .catalog import CatalogError
 from .dsl import DslError
 from .model import ModelError, invariant_submodel
 from .obstructions import TableError
-from .scalars import parse_scalar
+from .scalars import ScalarLiteralError, parse_scalar
 
 _SUB = str.maketrans("0123456789", "\u2080\u2081\u2082\u2083\u2084"
                      "\u2085\u2086\u2087\u2088\u2089")
@@ -323,9 +323,10 @@ def build_parser():
     return ap
 
 
-# Errors in what the user asked for; everything else is an internal fault.
+# Errors in what the user asked for; everything else is an internal fault
+# (cmd_massey turns the user's NotClosedError and PotentialError into one).
 USER_ERRORS = (CatalogError, DslError, TableError, ModelError, OSError,
-               ValueError)
+               ScalarLiteralError, formality.UnknownNotionError)
 
 _HANDLERS = {
     "list": cmd_list, "cohomology": cmd_cohomology,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 
 from .model import Form, GeneratorSpec, ModelError, ModelSpec
-from .scalars import GaussianRational, ONE, parse_scalar
+from .scalars import GaussianRational, ONE, ScalarLiteralError, parse_scalar
 
 
 class DslError(ValueError):
@@ -106,7 +106,7 @@ class _Parser:
             if m.group(2) is not None:
                 try:
                     value = parse_scalar(m.group(2))
-                except ValueError as e:
+                except ScalarLiteralError as e:
                     self.err(str(e), lineno)
             self.params[m.group(1)] = value
         elif head in ("d", "del", "dbar"):
@@ -244,7 +244,7 @@ class _Parser:
             else:
                 try:
                     value = value * parse_scalar(base)
-                except ValueError:
+                except ScalarLiteralError:
                     self.err("unknown generator or bad literal %r" % base,
                              lineno)
         return value

@@ -46,17 +46,13 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows_list, cols=None):
-        """Build from dense row lists (or dicts)."""
+        """Build from dense row lists."""
         rows = len(rows_list)
         if cols is None:
             cols = max((len(r) for r in rows_list), default=0)
         m = cls(rows, cols)
         for i, row in enumerate(rows_list):
-            if isinstance(row, dict):
-                items = row.items()
-            else:
-                items = enumerate(row)
-            for j, v in items:
+            for j, v in enumerate(row):
                 v = GaussianRational.of(v)
                 if v:
                     m.data[i][j] = v
@@ -75,49 +71,32 @@ class Matrix:
             out.append(acc)
         return out
 
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        m = Matrix(self.rows, self.cols + other.cols)
-        for i in range(self.rows):
-            m.data[i].update(self.data[i])
-            for j, a in other.data[i].items():
-                m.data[i][self.cols + j] = a
-        return m
-
     def matmul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
         out = Matrix(self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            acc = {}
+        for row, acc in zip(self.data, out.data):
             for k, a in row.items():
-                for j, b in other.data[k].items():
-                    v = acc.get(j, ZERO) + a * b
-                    if v:
-                        acc[j] = v
-                    else:
-                        acc.pop(j, None)
-            out.data[i] = acc
+                axpy(acc, a, other.data[k])
         return out
+
+    def columns(self):
+        """The columns as sparse rows {row index: scalar}."""
+        cols = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, a in row.items():
+                cols[j][i] = a
+        return cols
 
     def mul_rows(self, xs):
         """M x for each sparse column vector x {col: scalar} of xs, as
         sparse rows {row index: scalar}."""
-        columns = {}
-        for i, row in enumerate(self.data):
-            for j, a in row.items():
-                columns.setdefault(j, []).append((i, a))
+        columns = self.columns()
         out = []
         for x in xs:
             acc = {}
             for j, b in x.items():
-                for i, a in columns.get(j, ()):
-                    v = acc.get(i, ZERO) + a * b
-                    if v:
-                        acc[i] = v
-                    else:
-                        acc.pop(i, None)
+                axpy(acc, b, columns[j])
             out.append(acc)
         return out
 
@@ -148,6 +127,18 @@ def _residual(row, by_pivot):
                 else:
                     out.pop(j, None)
     return out
+
+
+def axpy(acc, c, row):
+    """acc += c * row for sparse rows, in place; entries that cancel are
+    dropped.  Returns acc."""
+    for j, a in row.items():
+        v = acc.get(j, ZERO) + c * a
+        if v:
+            acc[j] = v
+        else:
+            acc.pop(j, None)
+    return acc
 
 
 class Echelon:
@@ -218,15 +209,6 @@ def _kernel(cols, rref):
             if f != c and f < cols:
                 free[f][c] = -a
     return Subspace._from_rows(cols, list(free.values()))
-
-
-def column_space(m):
-    """Span of the columns of M as a Subspace of dimension m.rows."""
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.data):
-        for j, a in row.items():
-            cols[j][i] = a
-    return Subspace._from_rows(m.rows, [c for c in cols if c])
 
 
 def solve(m, b):
@@ -313,25 +295,6 @@ class Subspace:
         """Whether the sparse row {column: scalar} lies in the subspace."""
         return not _residual(row, self._by_pivot)
 
-    def coordinates(self, v):
-        """Coefficients of v on self.basis, or None if v is outside.  A
-        vector inside is the sum of its entry at each pivot column times
-        that pivot's row."""
-        self._check_length(v)
-        row = _sparse(v)
-        if _residual(row, self._by_pivot):
-            return None
-        return [row.get(c, ZERO) for c in self._by_pivot]
-
-    def combine(self, coords):
-        """The vector with the given coefficients on self.basis."""
-        v = [ZERO] * self.ambient
-        for c, row in zip(coords, self._by_pivot.values()):
-            if c:
-                for j, a in row.items():
-                    v[j] = v[j] + c * a
-        return v
-
     def equals(self, other):
         """Equal subspaces have the same (canonical) reduced rows."""
         self._check(other)
@@ -377,9 +340,16 @@ class Projector:
         self.space = space
         rows = space.rows
         k = len(rows)
-        # <v, b_i> = sum_j v_j * dual_i[j]
-        self._dual = [{j: a.conjugate() if weights is None
-                       else a.conjugate() * GaussianRational(weights[j])
+        # <v, b_i> = sum_j v_j * dual_i[j]; one scalar per distinct
+        # weight, and no product for a unit weight
+        if weights is None:
+            weights = [ONE] * space.ambient
+        else:
+            scalar = {w: ONE if w == 1 else GaussianRational(w)
+                      for w in set(weights)}
+            weights = [scalar[w] for w in weights]
+        self._dual = [{j: a.conjugate() if weights[j] is ONE
+                       else a.conjugate() * weights[j]
                        for j, a in row.items()} for row in rows]
         # G[i][j] = <b_j, b_i>; invert by row-reducing [G | I], whose
         # RREF is [I | G^-1] unless G is singular and a pivot lands in I
@@ -401,35 +371,41 @@ class Projector:
         self._gram_inv = [{j - k: a for j, a in row.items() if j >= k}
                           for row in rref.values()]
 
-    def coefficients(self, v):
-        """Coefficients of the projection of v on space.basis."""
-        if len(v) != self.space.ambient:
-            raise DimensionMismatch("vector length %d != ambient %d"
-                                    % (len(v), self.space.ambient))
+    def coefficients(self, row):
+        """Coefficients on space.rows of the projection of the sparse row
+        {column: scalar}."""
         rhs = []
         for dual in self._dual:
             acc = ZERO
-            for j, d in dual.items():
-                if v[j]:
-                    acc = acc + v[j] * d
+            for j, a in row.items():
+                d = dual.get(j)
+                if d is not None:
+                    acc = acc + a * d
             rhs.append(acc)
         coeffs = []
-        for row in self._gram_inv:
+        for inv in self._gram_inv:
             acc = ZERO
-            for j, a in row.items():
+            for j, a in inv.items():
                 if rhs[j]:
                     acc = acc + a * rhs[j]
             coeffs.append(acc)
         return coeffs
 
-    def project(self, v):
-        """The projection of v; the residual is orthogonal to the space."""
-        return self.space.combine(self.coefficients(v))
+    def combine(self, coeffs):
+        """The sparse row with the given coefficients on space.rows."""
+        out = {}
+        for c, row in zip(coeffs, self.space.rows):
+            if c:
+                axpy(out, c, row)
+        return out
 
 
 def orthogonal_project(space, v, weights=None):
-    """Orthogonal projection of v onto the subspace."""
-    return Projector(space, weights).project(v)
+    """Orthogonal projection of the vector v onto the subspace."""
+    space._check_length(v)
+    projector = Projector(space, weights)
+    return space._row_to_vec(
+        projector.combine(projector.coefficients(_sparse(v))))
 
 
 def min_norm_solve(m, b, weights=None):
@@ -448,7 +424,3 @@ def min_norm_solve(m, b, weights=None):
         return x0
     p = orthogonal_project(ker, x0, weights)
     return [a - c for a, c in zip(x0, p)]
-
-
-def vec_sub(u, v):
-    return [a - b for a, b in zip(u, v)]

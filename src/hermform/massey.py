@@ -15,42 +15,46 @@ from __future__ import annotations
 from . import linalg
 from .calculus import NotClosedError
 from .linalg import Subspace
-from .model import Form, ModelError
-from .scalars import GaussianRational
-
-MINUS_ONE = GaussianRational(-1)
+from .model import ModelError
+from .scalars import ONE, ZERO
 
 
 class PotentialError(ValueError):
     """The del-dbar equation has no solution: product undefined."""
 
 
-def _parity_sign(p, q):
-    return MINUS_ONE if (p + q) % 2 else GaussianRational(1)
-
-
-def solve_potential(engine, target):
-    """Minimum-norm f with del dbar f = target (target homogeneous).
+def _potential(engine, target, bid):
+    """Minimum-norm f with del dbar f = target, for a sparse row target
+    on the basis of bid = (p, q); f is a sparse row on the basis of
+    (p-1, q-1).
 
     Deterministic: row-reduced particular solution projected off the
     kernel in the weighted inner product.
     """
+    if not target:
+        return {}
+    p, q = bid
+    if p < 1 or q < 1:
+        raise PotentialError("no (p-1, q-1) source space for bidegree %s"
+                             % (bid,))
+    m = engine.matrix("ddbar", p - 1, q - 1)
+    x = linalg.min_norm_solve(m, [target.get(i, ZERO) for i in range(m.rows)],
+                              engine.weights(p - 1, q - 1))
+    if x is None:
+        raise PotentialError("target is not del-dbar-exact at %s" % (bid,))
+    return linalg._sparse(x)
+
+
+def solve_potential(engine, target):
+    """Minimum-norm f with del dbar f = target (target homogeneous)."""
     if target.is_zero():
         return engine.spec.zero()
     bid = target.bidegree()
     if bid is None:
         raise ModelError("potential target is not bidegree-homogeneous")
     p, q = bid
-    if p < 1 or q < 1:
-        raise PotentialError("no (p-1, q-1) source space for bidegree %s"
-                             % (bid,))
-    m = engine.ddbar_matrix(p - 1, q - 1)
-    rhs = engine.coords(target, p, q)
-    x = linalg.min_norm_solve(m, rhs, engine.weights(p - 1, q - 1))
-    if x is None:
-        raise PotentialError("target is not del-dbar-exact at %s" % (bid,))
-    basis = engine.basis(p - 1, q - 1)
-    return Form(engine.spec, {mono: c for mono, c in zip(basis, x) if c})
+    return engine.form(_potential(engine, engine.row(target.components, p, q),
+                                  bid), p - 1, q - 1)
 
 
 class MasseyVerdict:
@@ -70,13 +74,29 @@ class MasseyVerdict:
             self.nonzero, self.bidegree)
 
 
-def _harmonic_form(engine, theory, bid, coords):
-    space = engine.harmonic_space(theory, *bid)
-    out = engine.spec.zero()
-    for c, f in zip(coords, space.forms):
-        if c:
-            out = out + f * c
-    return out
+def _signed(form, p, q):
+    """The (monomial, scalar) terms of (-1)^(p+q) form."""
+    terms = form.components.items()
+    return [(m, -c) for m, c in terms] if (p + q) % 2 else list(terms)
+
+
+def _potential_terms(engine, f, target, bid):
+    """The terms of a potential for the sparse row target at bid: the
+    minimum-norm one, or the Form f when given, which must lie on the
+    source's basis.  Either way del dbar of it must give target."""
+    src = (bid[0] - 1, bid[1] - 1)
+    if f is None:
+        row = _potential(engine, target, bid)
+    else:
+        try:
+            row = engine.row(f.components, *src)
+        except ModelError:
+            row = None
+    if row is None or engine.matrix("ddbar", *src).mul_rows(
+            [row])[0] != target:
+        raise PotentialError("supplied potential fails its equation")
+    basis = engine.basis(*src)
+    return [(basis[k], x) for k, x in row.items()]
 
 
 def triple_abc_massey(engine, alpha, beta, gamma,
@@ -93,43 +113,32 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     p, q = alpha.bidegree()
     r, s = beta.bidegree()
     u, v = gamma.bidegree()
-    sign_ab = _parity_sign(p, q)
-    sign_bg = _parity_sign(r, s)
-    if f_ab is None:
-        f_ab = solve_potential(engine, alpha.wedge(beta) * sign_ab)
-    if f_bg is None:
-        f_bg = solve_potential(engine, beta.wedge(gamma) * sign_bg)
-    for f, target in ((f_ab, alpha.wedge(beta) * sign_ab),
-                      (f_bg, beta.wedge(gamma) * sign_bg)):
-        got = engine._derive("del", engine._derive("dbar", f))
-        if not got.equals(target):
-            raise PotentialError("supplied potential fails its equation")
-    rep = alpha.wedge(f_bg) * sign_ab - f_ab.wedge(gamma) * sign_bg
+    # a = (-1)^(p+q) alpha and c = (-1)^(r+s) gamma carry the signs of
+    # both targets and of the representative
+    a, b, c = (_signed(alpha, p, q), list(beta.components.items()),
+               _signed(gamma, r, s))
+    ab, bg = (p + r, q + s), (r + u, s + v)
+    f_ab = _potential_terms(engine, f_ab, engine.wedge_row(a, b, *ab), ab)
+    f_bg = _potential_terms(engine, f_bg, engine.wedge_row(b, c, *bg), bg)
     bid = (p + r + u - 1, q + s + v - 1)
-    if rep.is_zero():
-        space = engine.harmonic_space("aeppli", *bid)
-        cls = [GaussianRational(0)] * space.dim
-    else:
-        if rep.bidegree() != bid:
-            raise ModelError("representative bidegree %s, expected %s"
-                             % (rep.bidegree(), bid))
-        cls = engine.class_of(rep, "aeppli")
-    space = engine.harmonic_space("aeppli", *bid)
-    projection = _harmonic_form(engine, "aeppli", bid, cls)
-    indet_vectors = []
-    for xi in engine.harmonic_space("aeppli", (r + u - 1), (s + v - 1)):
-        prod = alpha.wedge(xi)
-        indet_vectors.append(
-            engine.class_of(prod, "aeppli") if not prod.is_zero()
-            else [GaussianRational(0)] * space.dim)
-    for zeta in engine.harmonic_space("aeppli", (p + r - 1), (q + s - 1)):
-        prod = zeta.wedge(gamma)
-        indet_vectors.append(
-            engine.class_of(prod, "aeppli") if not prod.is_zero()
-            else [GaussianRational(0)] * space.dim)
-    indet = Subspace(space.dim, indet_vectors)
-    nonzero = not indet.contains(cls)
-    return MasseyVerdict(rep, projection, cls, indet, nonzero, bid)
+    rep = linalg.axpy(engine.wedge_row(a, f_bg, *bid), -ONE,
+                      engine.wedge_row(f_ab, c, *bid))
+    cls, projection = engine.class_row("aeppli", rep, *bid)
+    products = ([engine.wedge_row(alpha.components.items(),
+                                  xi.components.items(), *bid)
+                 for xi in engine.harmonic_space("aeppli", r + u - 1,
+                                                 s + v - 1)]
+                + [engine.wedge_row(zeta.components.items(),
+                                    gamma.components.items(), *bid)
+                   for zeta in engine.harmonic_space("aeppli", p + r - 1,
+                                                     q + s - 1)])
+    indet = Subspace._from_rows(len(cls), [
+        linalg._sparse(engine.class_row("aeppli", row, *bid)[0])
+        for row in products if row])
+    nonzero = not indet.contains_row(linalg._sparse(cls))
+    return MasseyVerdict(engine.form(rep, *bid),
+                         engine.form(projection, *bid),
+                         cls, indet, nonzero, bid)
 
 
 def verify_appendix_case(case_id, parameters=None):
@@ -141,9 +150,9 @@ def verify_appendix_case(case_id, parameters=None):
     alpha, beta, gamma, listed, engine = catalog.massey_case(
         case_id, parameters)
     verdict = triple_abc_massey(engine, alpha, beta, gamma)
-    listed_cls = engine.class_of(listed, "aeppli")
-    listed_proj = _harmonic_form(engine, "aeppli", verdict.bidegree,
-                                 listed_cls)
+    bid = verdict.bidegree
+    listed_proj = engine.form(engine.class_row(
+        "aeppli", engine.row(listed.components, *bid), *bid)[1], *bid)
     matches = (not listed_proj.is_zero()
                and verdict.harmonic_projection.is_multiple_of(listed_proj))
     ok = verdict.nonzero and matches

@@ -20,6 +20,15 @@ class TableError(ValueError):
     """Malformed or inconsistent dimension table."""
 
 
+def _count(value, what):
+    """A dimension from a table: a nonnegative int, else a TableError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TableError("%s is not an integer: %r" % (what, value))
+    if value < 0:
+        raise TableError("negative %s" % what)
+    return value
+
+
 class DimTable:
     """Optional per-bidegree h_dbar/h_bc/h_a and Betti numbers.
 
@@ -28,7 +37,7 @@ class DimTable:
     """
 
     def __init__(self, n, h_dbar=None, h_bc=None, h_a=None, betti=None):
-        if n < 1:
+        if _count(n, "complex dimension") < 1:
             raise TableError("complex dimension must be >= 1")
         self.n = n
         self.h_dbar = self._clean(h_dbar)
@@ -38,9 +47,7 @@ class DimTable:
         for k, b in (betti or {}).items():
             if b is None:
                 continue
-            if b < 0:
-                raise TableError("negative Betti number b_%d" % k)
-            self.betti[int(k)] = int(b)
+            self.betti[int(k)] = _count(b, "Betti number b_%d" % k)
         for label, table in (("h_bc", self.h_bc), ("h_a", self.h_a)):
             for (p, q), v in table.items():
                 w = table.get((q, p))
@@ -54,9 +61,7 @@ class DimTable:
         for (p, q), v in (table or {}).items():
             if v is None:
                 continue
-            if v < 0:
-                raise TableError("negative entry at (%d,%d)" % (p, q))
-            out[(int(p), int(q))] = int(v)
+            out[(int(p), int(q))] = _count(v, "entry at (%d,%d)" % (p, q))
         return out
 
     # -- JSON ----------------------------------------------------------

@@ -209,19 +209,24 @@ I = GaussianRational(0, 1)
 
 _TERM = re.compile(
     r"(?=[0-9i.])"          # nonempty
-    r"(?P<num>[0-9]+(?:/[0-9]+)?)?"
+    r"(?P<num>[0-9]+(?:/[0-9]*[1-9][0-9]*)?)?"  # no zero denominator
     r"(?P<i>i)?"
 )
+
+
+class ScalarLiteralError(ValueError):
+    """A malformed Gaussian-rational literal."""
 
 
 def parse_scalar(text):
     """Parse a Gaussian-rational literal: '-2', 'i', '3/2', '1-2i', '-i/2'.
 
-    Raises ValueError on malformed input.
+    Raises ScalarLiteralError on malformed input, a zero denominator
+    included.
     """
     s = text.replace(" ", "")
     if not s:
-        raise ValueError("empty scalar literal")
+        raise ScalarLiteralError("empty scalar literal")
     result = GaussianRational(0)
     pos = 0
     n = len(s)
@@ -234,15 +239,15 @@ def parse_scalar(text):
             pos += 1
         m = _TERM.match(s, pos)
         if m is None or (m.group("num") is None and m.group("i") is None):
-            raise ValueError("bad scalar literal: %r" % text)
+            raise ScalarLiteralError("bad scalar literal: %r" % text)
         pos = m.end()
         num = m.group("num")
         is_i = m.group("i") is not None
         # allow 'i/2' (denominator after the i)
         if is_i and pos < n and s[pos] == "/":
-            m2 = re.match(r"/([0-9]+)", s[pos:])
+            m2 = re.match(r"/([0-9]*[1-9][0-9]*)", s[pos:])
             if m2 is None:
-                raise ValueError("bad scalar literal: %r" % text)
+                raise ScalarLiteralError("bad scalar literal: %r" % text)
             num = "%s/%s" % (num or "1", m2.group(1))
             pos += m2.end()
         value = Fraction(num) if num is not None else Fraction(1)
@@ -252,5 +257,5 @@ def parse_scalar(text):
             result = result + GaussianRational(sign * value)
         any_term = True
     if not any_term:
-        raise ValueError("bad scalar literal: %r" % text)
+        raise ScalarLiteralError("bad scalar literal: %r" % text)
     return result

@@ -215,12 +215,12 @@ def test_criterion_7b_star_duality_bc_aeppli():
             ae = engine.harmonic_space("aeppli", n - p, n - q)
             assert bc.dim == ae.dim, (ident, p, q)
             nb = len(engine.basis(n - p, n - q))
-            ae_sub = Subspace(nb, [engine.coords(f, n - p, n - q)
-                                   for f in ae])
+            ae_sub = Subspace._from_rows(
+                nb, [engine.row(f.components, n - p, n - q) for f in ae])
             for f in bc:
                 sf = engine.star(f)
-                assert ae_sub.contains(engine.coords(sf, n - p, n - q)), \
-                    (ident, p, q)
+                assert ae_sub.contains_row(
+                    engine.row(sf.components, n - p, n - q)), (ident, p, q)
 
 
 def test_criterion_7c_conjugation_symmetries():

@@ -164,7 +164,8 @@ def test_too_many_monomials_is_user_error_before_enumeration(monkeypatch,
 @pytest.mark.parametrize("fault", (ArithmeticError("Gram matrix is singular"),
                                    ZeroDivisionError("division by zero"),
                                    KeyError((1, 0)), IndexError("index"),
-                                   linalg.DimensionMismatch("lengths")))
+                                   linalg.DimensionMismatch("lengths"),
+                                   ValueError("a plain ValueError")))
 def test_internal_fault_exits_2_without_traceback(monkeypatch, fault):
     def broken(self, v):
         raise fault
@@ -175,6 +176,35 @@ def test_internal_fault_exits_2_without_traceback(monkeypatch, fault):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert str(fault) in err
+
+
+def test_zero_denominator_is_a_user_error(tmp_path):
+    """A zero denominator in a scalar literal exits 1 with one line from
+    each entry point: a --param value, a massey expression, a DSL file."""
+    path = tmp_path / "zero.hf"
+    path.write_text("algebra z dim 3\nholo p1 p2 p3\nd p3 = -1/0*p1*p2\n",
+                    encoding="utf-8")
+    for argv in (["cohomology", "--model", "nakamura:V.17",
+                  "--param", "alpha=1/0", "--param", "beta=1"],
+                 ["massey", "--model", "iwasawa", "--a", "1/0*p1*p2",
+                  "--b", "q1*q2", "--c", "q1*q2"],
+                 ["parse", str(path)]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert "1/0" in err, argv
+
+
+@pytest.mark.parametrize("doc", ('{"n": 2, "betti": [NaN]}', '{"n": NaN}',
+                                 '{"n": "2"}', '{"n": 1.5}',
+                                 '{"n": 1, "h_bc": [["x"]]}',
+                                 '{"n": 1, "betti": [Infinity]}'))
+def test_malformed_table_counts_are_user_errors(tmp_path, doc):
+    path = tmp_path / "table.json"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = invoke(["obstruct", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "not an integer" in err
 
 
 def test_paper_notation_utf8_and_ascii():

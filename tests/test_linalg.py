@@ -68,13 +68,15 @@ def test_subspace_membership_and_coordinates():
     assert s.dim == 2
     assert s.contains([ONE, ONE, GaussianRational(2)])
     assert not s.contains([ONE, ZERO, ZERO])
-    coords = s.coordinates([ONE, ONE, GaussianRational(2)])
-    # reconstruct
+    # a member is its own projection, so its coefficients rebuild it
+    member = {0: ONE, 1: ONE, 2: GaussianRational(2)}
+    coords = Projector(s).coefficients(member)
     rebuilt = [ZERO, ZERO, ZERO]
     for c, b in zip(coords, s.basis):
         for i, a in enumerate(b):
             rebuilt[i] = rebuilt[i] + c * a
     assert rebuilt == [ONE, ONE, GaussianRational(2)]
+    assert Projector(s).combine(coords) == member
     assert s.equals(Subspace(3, [[1, 1, 2], [1, -1, 0], [2, 0, 2]]))
     assert not s.equals(Subspace(3, [[1, 1, 2]]))
 
@@ -83,10 +85,15 @@ def _dense(row, n):
     return [row.get(j, ZERO) for j in range(n)]
 
 
+def _sparse(v):
+    return {j: a for j, a in enumerate(v) if a}
+
+
 def test_sparse_membership_matches_dense_random():
     """contains_row on a sparse row agrees with contains on the dense
-    vector, and coordinates rebuild the vector, for members (random
-    combinations of the spanning set) and random vectors alike."""
+    vector, and exactly the members are their own projection, for
+    members (random combinations of the spanning set) and random
+    vectors alike."""
     rng = random.Random(53)
     for _ in range(30):
         n = rng.randint(1, 7)
@@ -105,10 +112,9 @@ def test_sparse_membership_matches_dense_random():
             inside = s.contains_row(row)
             assert inside == s.contains(v)
             assert inside == (Subspace(n, vectors + [v]).dim == s.dim)
-            coords = s.coordinates(v)
-            assert (coords is not None) == inside
-            if inside:
-                assert s.combine(coords) == v
+            projector = Projector(s)
+            assert inside == (
+                projector.combine(projector.coefficients(row)) == row)
 
 
 def test_echelon_add_reports_rank_growth():
@@ -200,8 +206,11 @@ def test_projection_residual_orthogonal():
         v = rand_vec(rng, n)
         p = orthogonal_project(s, v, weights)
         assert s.contains(p)
-        assert Projector(s, weights).coefficients(v) == s.coordinates(p)
-        r = linalg.vec_sub(v, p)
+        projector = Projector(s, weights)
+        coeffs = projector.coefficients(_sparse(v))
+        assert _dense(projector.combine(coeffs), n) == p
+        assert projector.coefficients(_sparse(p)) == coeffs
+        r = [a - b for a, b in zip(v, p)]
         for b in s.basis:
             assert inner(r, b, weights).is_zero()
 

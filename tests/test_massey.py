@@ -1,17 +1,22 @@
 """Triple ABC-Massey products: potentials, verdicts, invariance."""
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hermform import massey
-from hermform.calculus import NotClosedError
-from hermform.catalog import engine_for, massey_case
+from hermform.calculus import HodgeEngine, NotClosedError
+from hermform.catalog import engine_for, load, massey_case
+from hermform.formality import check_formality
 from hermform.linalg import kernel_basis
 from hermform.massey import (PotentialError, solve_potential,
                              triple_abc_massey, verify_appendix_case)
 from hermform.model import Form
 from hermform.scalars import GaussianRational
+
+from test_calculus import generator_metric
 
 
 def test_iwasawa_potential_oracle():
@@ -63,6 +68,23 @@ def test_bad_supplied_potential_rejected():
     wrong = spec.form_from_names(("p1", "q1"))
     with pytest.raises(PotentialError):
         triple_abc_massey(engine, alpha, beta, beta, f_ab=wrong)
+
+
+def test_wrong_bidegree_potential_rejected():
+    """A supplied potential must lie in the source bidegree, even when
+    del dbar of it matches the target: on torus:2 both targets of
+    (p1, p1, p1) are 0, and q1 is del-dbar-closed but of bidegree (0, 1),
+    not (1, -1).  On iwasawa the target is nonzero."""
+    engine = engine_for("torus:2")
+    p1, q1 = engine.spec.gen("p1"), engine.spec.gen("q1")
+    assert triple_abc_massey(engine, p1, p1, p1).representative.is_zero()
+    for f_ab, f_bg in ((q1, None), (None, q1), (p1 + q1, None)):
+        with pytest.raises(PotentialError):
+            triple_abc_massey(engine, p1, p1, p1, f_ab=f_ab, f_bg=f_bg)
+    alpha, beta, gamma, _, engine = massey_case("III.2")
+    with pytest.raises(PotentialError):
+        triple_abc_massey(engine, alpha, beta, gamma,
+                          f_ab=engine.spec.form_from_names(("p1", "p2")))
 
 
 def test_torus_products_vanish():
@@ -144,3 +166,57 @@ def test_conjugation_symmetry_of_products():
         assert v2.bidegree == (q, p)
         assert v2.harmonic_projection.is_multiple_of(
             v1.harmonic_projection.conjugate())
+
+
+# Bott-Chern formality against ABC-Massey products (D. Angella and
+# A. Tomassini, "On Bott-Chern cohomology and formality", J. Geom. Phys.
+# 93, 2015).  If the Bott-Chern harmonic forms are closed under ^ and
+# alpha ^ beta is del-dbar-exact, then it is a harmonic exact form, hence
+# 0; any del-dbar-closed potential then puts the representative in the
+# indeterminacy, so every defined product contains zero.  Products are
+# classes, so one nonzero product rules out the formality for every
+# metric.
+
+FORMAL = (("torus:1", 17), ("torus:2", 2129), ("ce:u=0,v=1", 64),
+          ("ce:u=1,v=1", 378))
+
+
+@pytest.mark.parametrize("ident,defined", FORMAL)
+def test_bott_chern_formal_models_have_only_zero_products(ident, defined):
+    engine = engine_for(ident)
+    assert check_formality(engine, "geom_bott_chern").verdict
+    forms = [f for bid in engine.spec.bidegrees() if bid != (0, 0)
+             for f in engine.harmonic_space("bott_chern", *bid)]
+    count = 0
+    for alpha, beta, gamma in itertools.product(forms, repeat=3):
+        try:
+            verdict = triple_abc_massey(engine, alpha, beta, gamma)
+        except PotentialError:
+            continue
+        count += 1
+        assert not verdict.nonzero, (ident, alpha, beta, gamma)
+    assert count == defined
+
+
+@pytest.mark.parametrize("case", ("III.2", "III.3", "IV.2", "IV.3", "IV.4",
+                                  "IV.6"))
+def test_appendix_models_are_not_bott_chern_formal(case):
+    alpha, beta, gamma, _, engine = massey_case(case)
+    assert triple_abc_massey(engine, alpha, beta, gamma).nonzero
+    assert not check_formality(engine, "geom_bott_chern").verdict
+
+
+def test_nonzero_product_rules_out_bott_chern_formality_for_any_metric():
+    spec = load("nakamura:III.3")
+
+    @settings(max_examples=4, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(st.fractions(min_value=Fraction(1, 4), max_value=4,
+                                 max_denominator=4),
+                    min_size=len(spec.generators),
+                    max_size=len(spec.generators)))
+    def check(gen_weights):
+        engine = HodgeEngine(spec, generator_metric(spec, gen_weights))
+        assert not check_formality(engine, "geom_bott_chern").verdict
+
+    check()

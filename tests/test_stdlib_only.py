@@ -1,0 +1,33 @@
+"""hermform depends on nothing outside the standard library: pyproject
+declares no dependencies, and every import in every module under
+src/hermform names a standard-library module or a hermform module."""
+
+import ast
+import pathlib
+import re
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_every_import_is_stdlib_or_hermform():
+    modules = sorted((ROOT / "src" / "hermform").rglob("*.py"))
+    assert modules
+    outside = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside hermform
+            outside += [(path.name, name) for name in names
+                        if name.split(".")[0] != "hermform"
+                        and name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
+
+
+def test_pyproject_declares_no_dependencies():
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r"^dependencies = \[\]$", text, re.M)
