@@ -77,7 +77,7 @@ class MasseyVerdict:
 def _signed(form, p, q):
     """The (monomial, scalar) terms of (-1)^(p+q) form."""
     terms = form.components.items()
-    return [(m, -c) for m, c in terms] if (p + q) % 2 else list(terms)
+    return [(m, -c) for m, c in terms] if (p + q) % 2 else terms
 
 
 def _potential_terms(engine, f, target, bid):
@@ -115,7 +115,7 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     u, v = gamma.bidegree()
     # a = (-1)^(p+q) alpha and c = (-1)^(r+s) gamma carry the signs of
     # both targets and of the representative
-    a, b, c = (_signed(alpha, p, q), list(beta.components.items()),
+    a, b, c = (_signed(alpha, p, q), beta.components.items(),
                _signed(gamma, r, s))
     ab, bg = (p + r, q + s), (r + u, s + v)
     f_ab = _potential_terms(engine, f_ab, engine.wedge_row(a, b, *ab), ab)
