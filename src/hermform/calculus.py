@@ -72,9 +72,10 @@ class NotClosedError(ValueError):
     """Input form violates the closedness precondition of a theory."""
 
 
-def apply_derivation(spec, assignments, form):
-    """Extend a generator assignment to a graded derivation."""
-    table = _leibniz_table(spec, assignments)
+def apply_derivation(spec, op, form):
+    """The differential op ("del" or "dbar") of the model on a form: its
+    images of generators extended as a graded derivation."""
+    table = _leibniz_table(spec, op)
     out = {}
     for mono, coeff in form.components.items():
         for m, c in _derive_monomial(table, mono).items():
@@ -82,29 +83,26 @@ def apply_derivation(spec, assignments, form):
     return Form(spec, out)
 
 
-def _leibniz_table(spec, assignments):
-    """(odd, truncation, terms) for a derivation: per generator position
-    the generator's odd parity (0 or 1) and truncation, and in `terms`
-    None where the generator has no image, else one (support, c, -c) per
-    term c*t of its image, support [(position k, exponent t_k, odd_k)]
-    over the positions of t.  Built once per model for each of its two
-    differentials, any other assignment anew; it holds ints and scalars,
-    no Form."""
-    which = ("del" if assignments is spec.del_assignments
-             else "dbar" if assignments is spec.dbar_assignments else None)
-    table = spec._leibniz.get(which)
+def _leibniz_table(spec, op):
+    """(odd, truncation, terms) for the differential op: per generator
+    position the generator's odd parity (0 or 1) and truncation, and in
+    `terms` None where the generator has no image, else one (support, c,
+    -c) per term c*t of its image, support [(position k, exponent t_k,
+    odd_k)] over the positions of t.  Built once per model and operator;
+    it holds ints and scalars, no Form."""
+    table = spec._leibniz.get(op)
     if table is None:
         gens = spec.generators
+        images = spec.differentials[op]
         odd = tuple(int(g.odd) for g in gens)
         terms = []
         for g in gens:
-            target = assignments.get(g.name)
-            terms.append(None if target is None else tuple(
+            image = images.get(g.name)
+            terms.append(None if image is None else tuple(
                 (tuple((k, t, odd[k]) for k, t in enumerate(mt) if t), c, -c)
-                for mt, c in target.components.items()))
-        table = (odd, tuple(g.truncation for g in gens), tuple(terms))
-        if which is not None:
-            spec._leibniz[which] = table
+                for mt, c in image.items()))
+        table = spec._leibniz[op] = (
+            odd, tuple(g.truncation for g in gens), tuple(terms))
     return table
 
 
@@ -386,11 +384,6 @@ class HodgeEngine:
 
     # -- matrices ------------------------------------------------------
 
-    def _derive(self, which, form):
-        assignments = (self.spec.del_assignments if which == "del"
-                       else self.spec.dbar_assignments)
-        return apply_derivation(self.spec, assignments, form)
-
     def matrix(self, op, *degree):
         """Matrix of op (a SHIFT key) from degree into degree + shift."""
         key = (op,) + degree
@@ -421,9 +414,7 @@ class HodgeEngine:
             return mat
         src = self.basis(*degree)
         index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
-        assignments = (self.spec.del_assignments if op == "del"
-                       else self.spec.dbar_assignments)
-        table = _leibniz_table(self.spec, assignments)
+        table = _leibniz_table(self.spec, op)
         mat = Matrix(len(index), len(src))
         for j, mono in enumerate(src):
             image = _derive_monomial(table, mono)
@@ -501,14 +492,16 @@ class HodgeEngine:
         return self._rrefs[key]
 
     def _validate_squares(self):
-        for g in self.spec.generators:
-            f = self.spec.gen(g.name)
+        spec = self.spec
+        for g in spec.generators:
+            f = spec.gen(g.name)
+            de, db = (apply_derivation(spec, op, f) for op in ("del", "dbar"))
             for label, value in (
-                    ("del^2", self._derive("del", self._derive("del", f))),
-                    ("dbar^2", self._derive("dbar", self._derive("dbar", f))),
+                    ("del^2", apply_derivation(spec, "del", de)),
+                    ("dbar^2", apply_derivation(spec, "dbar", db)),
                     ("del dbar + dbar del",
-                     self._derive("del", self._derive("dbar", f))
-                     + self._derive("dbar", self._derive("del", f)))):
+                     apply_derivation(spec, "del", db)
+                     + apply_derivation(spec, "dbar", de))):
                 if not value.is_zero():
                     raise AssemblyError(
                         "%s != 0 on generator %s (bidegree %s): %s"

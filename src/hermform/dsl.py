@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .model import Form, GeneratorSpec, ModelError, ModelSpec
+from .model import GeneratorSpec, ModelError, ModelSpec
 from .scalars import GaussianRational, ONE, ScalarLiteralError, parse_scalar
 
 
@@ -252,6 +252,11 @@ class _Parser:
     # -- assembly ------------------------------------------------------
 
     def build(self):
+        # a printed model declares its parameters after its generators,
+        # so a shared name would not parse back
+        for g in self.gens:
+            if g.name in self.params:
+                raise DslError("parameter %s is also a generator" % g.name)
         try:
             skeleton = ModelSpec(self.name, self.n, self.gens)
         except ModelError as e:
@@ -288,9 +293,7 @@ class _Parser:
                 put(del_a, cname, bpart.conjugate(), lineno)
         try:
             return ModelSpec(
-                self.name, self.n, self.gens,
-                {k: v.components for k, v in del_a.items()},
-                {k: v.components for k, v in dbar_a.items()},
+                self.name, self.n, self.gens, del_a, dbar_a,
                 {k: v for k, v in self.params.items() if v is not None})
         except ModelError as e:
             raise DslError(str(e))
@@ -346,11 +349,10 @@ def _print_scalar_term(coeff, mono_text):
     return parts
 
 
-def _print_form(spec, form):
-    if form.is_zero():
-        return "0"
+def _print_image(spec, image):
+    """One {monomial: scalar} image as a nonempty EXPR."""
     pieces = []
-    for mono in sorted(form.components):
+    for mono in sorted(image):
         factors = []
         for e, g in zip(mono, spec.generators):
             if e == 1:
@@ -358,7 +360,7 @@ def _print_form(spec, form):
             elif e > 1:
                 factors.append("%s^%d" % (g.name, e))
         mono_text = "*".join(factors) if factors else None
-        pieces.extend(_print_scalar_term(form.components[mono], mono_text))
+        pieces.extend(_print_scalar_term(image[mono], mono_text))
     out = []
     for i, (sign, body) in enumerate(pieces):
         if i == 0:
@@ -384,30 +386,16 @@ def print_model(spec):
         except (TypeError, ValueError):
             continue
         lines.append("param %s = %s" % (name, value))
-    for which, table in (("del", spec.del_assignments),
-                         ("dbar", spec.dbar_assignments)):
+    for op, images in spec.differentials.items():
         for g in spec.generators:
-            if g.name in table:
-                lines.append("%s %s = %s"
-                             % (which, g.name,
-                                _print_form(spec, table[g.name])))
+            if g.name in images:
+                lines.append("%s %s = %s" % (
+                    op, g.name, _print_image(spec, images[g.name])))
     return "\n".join(lines) + "\n"
 
 
 def models_equal(a, b):
-    """Structural equality of two ModelSpecs."""
-    if (a.name, a.n) != (b.name, b.n):
-        return False
-    if [(g.name, g.bidegree, g.truncation, g.conjugate)
-            for g in a.generators] != \
-       [(g.name, g.bidegree, g.truncation, g.conjugate)
-            for g in b.generators]:
-        return False
-    for table_a, table_b in ((a.del_assignments, b.del_assignments),
-                             (a.dbar_assignments, b.dbar_assignments)):
-        if set(table_a) != set(table_b):
-            return False
-        for k in table_a:
-            if table_a[k].components != table_b[k].components:
-                return False
-    return True
+    """Structural equality of two ModelSpecs: name, dimension, generators
+    (name, bidegree, truncation, conjugate) and differentials."""
+    return ((a.name, a.n, a.generators, a.differentials)
+            == (b.name, b.n, b.generators, b.differentials))

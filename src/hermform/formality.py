@@ -221,12 +221,12 @@ def _closure_violation(spaces):
         for k, f in enumerate(abc.forms):
             for which in ("del", "dbar"):
                 image = images[which][k]
+                target = _add(degree, SHIFT[which])
                 if image and not spaces.get(
-                        "abc", _add(degree, SHIFT[which])).space.contains_row(
-                            image):
+                        "abc", target).space.contains_row(image):
                     return Witness(f, engine.spec.one(),
                                    "%s-closure" % which,
-                                   engine._derive(which, f))
+                                   engine.form(image, *target))
     return None
 
 

@@ -108,6 +108,8 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     depends on the choice.
     """
     for name, form in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
+        if form.is_zero():
+            raise ModelError("%s is zero, which has no bidegree" % name)
         if not engine.is_harmonic("bott_chern", form):
             raise NotClosedError("%s is not Bott-Chern harmonic" % name)
     p, q = alpha.bidegree()

@@ -1,7 +1,7 @@
 """Free bigraded-commutative algebras on declared generators.
 
 A model is a finite list of generators with bidegrees, truncation
-exponents and a conjugation pairing, together with assignments of the
+exponents and a conjugation pairing, together with the values of the
 two differentials on generators.  Monomials are exponent vectors in
 declaration order; every sign in the engine is computed relative to
 that canonical order, so results are reproducible bit-for-bit.
@@ -54,13 +54,14 @@ class GeneratorSpec:
 class ModelSpec:
     """Validated bigraded model: generators + differentials on them.
 
-    del_assignments / dbar_assignments map generator name -> Form (given
-    as {monomial: scalar} dicts at construction time).
+    `differentials` maps each operator, "del" then "dbar", to its images
+    of generators: {generator name: {monomial: scalar}}, zero images left
+    out.  It is plain data, so a model holds no Form and no cycle.  The
+    images are given as such dicts or as Forms at construction time.
     """
 
     def __init__(self, name, complex_dimension, generators,
-                 del_assignments=None, dbar_assignments=None,
-                 parameters=None):
+                 del_images=None, dbar_images=None, parameters=None):
         self.name = name
         self.n = complex_dimension
         self.generators = list(generators)
@@ -72,9 +73,9 @@ class ModelSpec:
         # the Leibniz table of each differential, built by calculus
         self._leibniz = {}
         self._validate_generators()
-        self.del_assignments = self._coerce_assignments(del_assignments or {})
-        self.dbar_assignments = self._coerce_assignments(dbar_assignments or {})
-        self._validate_assignments()
+        self.differentials = {"del": self._coerce_images(del_images or {}),
+                              "dbar": self._coerce_images(dbar_images or {})}
+        self._validate_differentials()
 
     # -- validation ---------------------------------------------------
 
@@ -107,38 +108,36 @@ class ModelSpec:
                              % (self.n, self.n, len(vol)))
         self.volume_monomial = vol[0]
 
-    def _coerce_assignments(self, raw):
+    def _coerce_images(self, raw):
         out = {}
         for name, value in raw.items():
             if name not in self.index:
                 raise ModelError("assignment on unknown generator %r" % name)
-            form = value if isinstance(value, Form) else Form(self, value)
-            if not form.is_zero():
-                out[name] = form
+            image = (value if isinstance(value, Form)
+                     else Form(self, value)).components
+            if image:
+                out[name] = image
         return out
 
-    def _validate_assignments(self):
-        for which, assignments, shift in (
-                ("del", self.del_assignments, (1, 0)),
-                ("dbar", self.dbar_assignments, (0, 1))):
-            for name, form in assignments.items():
-                g = self.generators[self.index[name]]
-                want = (g.bidegree[0] + shift[0], g.bidegree[1] + shift[1])
-                bid = form.bidegree()
-                if bid is not None and bid != want:
-                    raise ModelError(
-                        "%s %s has bidegree %s, want %s"
-                        % (which, name, bid, want))
+    def _validate_differentials(self):
+        for op, (dp, dq) in (("del", (1, 0)), ("dbar", (0, 1))):
+            for name, image in self.differentials[op].items():
+                p, q = self.generator(name).bidegree
+                want = (p + dp, q + dq)
+                for mono in image:
+                    bid = self.monomial_bidegree(mono)
+                    if bid != want:
+                        raise ModelError("%s %s has bidegree %s, want %s"
+                                         % (op, name, bid, want))
         # conjugation compatibility: dbar(conj g) = conj(del g) and
         # del(conj g) = conj(dbar g)
+        dels, dbars = self.differentials["del"], self.differentials["dbar"]
         for g in self.generators:
-            cname = g.conjugate
-            lhs = self.dbar_assignments.get(cname, self.zero())
-            rhs = self.del_assignments.get(g.name, self.zero()).conjugate()
-            if not lhs.equals(rhs):
+            if dbars.get(g.conjugate, {}) != Form(
+                    self, dels.get(g.name)).conjugate().components:
                 raise ModelError(
                     "conjugation compatibility fails: dbar(%s) != conj(del %s)"
-                    % (cname, g.name))
+                    % (g.conjugate, g.name))
 
     # -- basic structure ----------------------------------------------
 
@@ -464,14 +463,11 @@ def invariant_submodel(spec, action):
     Validates that both differentials are equivariant (so they restrict
     to the invariant span) and returns a predicate on monomials.
     """
-    for which, assignments in (("del", spec.del_assignments),
-                               ("dbar", spec.dbar_assignments)):
-        for name, form in assignments.items():
-            i = spec.index[name]
-            w = action.weights[i]
-            for mono in form.components:
+    for op, images in spec.differentials.items():
+        for name, image in images.items():
+            w = action.weights[spec.index[name]]
+            for mono in image:
                 if action.monomial_weight(mono) != w:
                     raise ModelError(
-                        "%s is not equivariant on generator %s"
-                        % (which, name))
+                        "%s is not equivariant on generator %s" % (op, name))
     return action.is_invariant

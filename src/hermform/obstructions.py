@@ -88,17 +88,24 @@ class DimTable:
         if not isinstance(doc, dict) or "n" not in doc:
             raise TableError("table document needs an 'n' field")
 
-        def ungrid(grid):
+        def ungrid(name):
+            grid = doc.get(name)
             if grid is None:
                 return None
+            if not (isinstance(grid, list)
+                    and all(isinstance(row, list) for row in grid)):
+                raise TableError("%s is not a list of lists: %r"
+                                 % (name, grid))
             return {(p, q): v for p, row in enumerate(grid)
                     for q, v in enumerate(row) if v is not None}
 
         betti = doc.get("betti")
         if betti is not None:
+            if not isinstance(betti, list):
+                raise TableError("betti is not a list: %r" % (betti,))
             betti = {k: v for k, v in enumerate(betti) if v is not None}
-        return cls(doc["n"], ungrid(doc.get("h_dbar")),
-                   ungrid(doc.get("h_bc")), ungrid(doc.get("h_a")), betti)
+        return cls(doc["n"], ungrid("h_dbar"), ungrid("h_bc"), ungrid("h_a"),
+                   betti)
 
     @classmethod
     def from_cohomology_table(cls, table):

@@ -79,6 +79,16 @@ def test_massey_rejects_non_harmonic_input():
     assert "error" in err
 
 
+@pytest.mark.parametrize("slot", ("--a", "--b", "--c"))
+def test_massey_rejects_zero_input(slot):
+    args = {"--a": "p1", "--b": "p1", "--c": "p1", slot: "0"}
+    code, out, err = invoke(["massey", "--model", "iwasawa"]
+                            + [x for kv in args.items() for x in kv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is zero" in err
+
+
 def test_verify_appendix_single_case():
     code, out, _ = invoke(["verify-appendix", "--case", "III.2"])
     assert code == 0
@@ -195,16 +205,24 @@ def test_zero_denominator_is_a_user_error(tmp_path):
         assert "1/0" in err, argv
 
 
+# grids that are not lists of lists, and Betti numbers that are not a list
+NOT_LISTS = ('{"n": 2, "h_bc": 5}', '{"n": 2, "h_bc": [5]}',
+             '{"n": 2, "h_bc": [[1], 5]}', '{"n": 2, "h_a": {"0": [1]}}',
+             '{"n": 2, "betti": 5}', '{"n": 2, "betti": {"0": 1}}')
+
+
 @pytest.mark.parametrize("doc", ('{"n": 2, "betti": [NaN]}', '{"n": NaN}',
                                  '{"n": "2"}', '{"n": 1.5}',
                                  '{"n": 1, "h_bc": [["x"]]}',
-                                 '{"n": 1, "betti": [Infinity]}'))
+                                 '{"n": 1, "betti": [Infinity]}') + NOT_LISTS)
 def test_malformed_table_counts_are_user_errors(tmp_path, doc):
     path = tmp_path / "table.json"
     path.write_text(doc, encoding="utf-8")
     code, out, err = invoke(["obstruct", "--input", str(path)])
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "not an integer" in err
+    want = "is not a list" if doc in NOT_LISTS else "not an integer"
+    assert err.startswith("error: ") and want in err
+    assert err.count("\n") == 1
 
 
 def test_paper_notation_utf8_and_ascii():

@@ -1,6 +1,7 @@
 """DSL parser and canonical printer."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermform import catalog, dsl
 from hermform.dsl import DslError, models_equal, parse, print_model
@@ -19,11 +20,7 @@ def test_holo_shorthand_matches_catalog():
     built = catalog.nakamura("III.2")
     assert [g.name for g in spec.generators] == \
         [g.name for g in built.generators]
-    for table_a, table_b in ((spec.del_assignments, built.del_assignments),
-                            (spec.dbar_assignments, built.dbar_assignments)):
-        assert set(table_a) == set(table_b)
-        for k in table_a:
-            assert table_a[k].components == table_b[k].components
+    assert spec.differentials == built.differentials
 
 
 def test_roundtrip_all_catalog_instances():
@@ -57,10 +54,10 @@ holo p1 p2
 param c = 2i
 d p2 = c * p1*p2
 """)
-    form = spec.del_assignments["p2"]
-    mono = next(iter(form.components))
+    image = spec.differentials["del"]["p2"]
+    mono = next(iter(image))
     from hermform.scalars import GaussianRational
-    assert form.components[mono] == GaussianRational(0, 2)
+    assert image[mono] == GaussianRational(0, 2)
 
 
 def test_expression_edge_cases():
@@ -116,3 +113,68 @@ d p2 = p1*p2 + i*p1*p2
     # coefficient 1+i must round-trip through the printer
     text = print_model(spec)
     assert models_equal(spec, parse(text))
+
+
+# Fuzzed model text: a header and generators, well-formed `d` lines of
+# holomorphic generators (terms of bidegree (2,0) and (1,1)), then
+# malformed lines and bare noise.
+FUZZ_COEFFS = ("", "2", "-1", "i", "-i", "1/2", "2+i", "c")
+FUZZ_SKELETONS = (
+    ("algebra m dim 2\nholo p1 p2\nparam c = 2i", ("p1", "p2"), ("q1", "q2")),
+    ("algebra m dim 3\nholo p1 p2 p3\nparam c = 2i", ("p1", "p2", "p3"),
+     ("q1", "q2", "q3")),
+)
+
+
+def _model_text(skeleton):
+    src, holo, anti = skeleton
+    names = holo + anti
+    term = st.tuples(
+        st.sampled_from("+-"), st.sampled_from(FUZZ_COEFFS),
+        st.sampled_from(holo), st.sampled_from(names)).map(
+            lambda t: "%s %s%s*%s" % (t[0], t[1] and t[1] + " * ", t[2], t[3]))
+    valid = st.dictionaries(st.sampled_from(holo),
+                            st.lists(term, min_size=1, max_size=3)).map(
+        lambda d: ["d %s = %s" % (name, " ".join(terms))
+                   for name, terms in d.items()])
+    noise = st.one_of(
+        st.tuples(st.sampled_from(("d", "del", "dbar")),
+                  st.sampled_from(names + ("x",)),
+                  st.lists(st.sampled_from(names + FUZZ_COEFFS + (
+                      "^2", "*", "+", "-", "1/0", "x")), max_size=4)).map(
+            lambda t: "%s %s = %s" % (t[0], t[1], " ".join(t[2]))),
+        st.sampled_from((
+            "param c", "param p1 = 1", "param q1", "algebra n dim 2",
+            "# note", "holo", "del p1 p2", "gen p1 : (1,0) conj q1",
+            "gen w : (1,1) even trunc 3 real", "gen v : (2,0) odd conj v")),
+        st.text(alphabet="pq1 d=*^+-", max_size=6))
+    return st.tuples(valid, st.lists(noise, max_size=2),
+                     st.sampled_from(("\n", "\r\n"))).map(
+        lambda t: t[2].join([src] + t[0] + t[1]))
+
+
+def test_fuzzed_text_fails_only_as_dsl_error_and_round_trips():
+    parsed = []
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              database=None)
+    @given(st.sampled_from(FUZZ_SKELETONS).flatmap(_model_text))
+    def check(text):
+        try:
+            spec = parse(text)
+        except DslError:
+            return
+        parsed.append(any(spec.differentials.values()))
+        assert models_equal(parse(print_model(spec)), spec), text
+
+    check()
+    assert any(parsed), "no drawn text parsed with a nonzero differential"
+
+
+def test_parameter_named_like_a_generator_is_refused():
+    """The printer lists parameters after generators, so such a model
+    would not parse back."""
+    for src in ("algebra m dim 1\nparam p1 = 2\nholo p1\n",
+                "algebra m dim 1\nparam q1 = 2\nholo p1\n"):
+        with pytest.raises(DslError, match="parameter .1 is also a generator"):
+            parse(src)

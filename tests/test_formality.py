@@ -8,7 +8,7 @@ import pytest
 
 from hermform import formality
 from hermform.calculus import (AssemblyError, HarmonicBasis, HodgeEngine,
-                               InnerProduct)
+                               InnerProduct, apply_derivation)
 from hermform.catalog import default_instances, engine_for, load_with_action
 from hermform.cli import run
 from hermform.formality import NOTIONS, check_all, check_formality
@@ -84,8 +84,8 @@ def test_holomorphic_obstruction_abelian_vs_not(torus2, iwasawa):
     f = formality.holomorphic_closedness_obstruction(iwasawa)
     assert f is not None
     assert f.bidegree()[1] == 0
-    assert iwasawa._derive("dbar", f).is_zero()
-    assert not iwasawa._derive("del", f).is_zero()
+    assert apply_derivation(iwasawa.spec, "dbar", f).is_zero()
+    assert not apply_derivation(iwasawa.spec, "del", f).is_zero()
 
 
 def test_unknown_notion_rejected(torus2):
@@ -186,7 +186,7 @@ def test_generator_failure_with_a_clean_scan_is_an_internal_fault(
 # -- reference sweeps ------------------------------------------------------
 #
 # One loop per notion, written out separately and built only on
-# harmonic_space, is_harmonic, Form.wedge and _derive, so that the
+# harmonic_space, is_harmonic, Form.wedge and apply_derivation, so that the
 # library's shared sweep is checked against an implementation that does
 # not share its structure.  Each returns (verdict, sub_verdicts, witness)
 # with the witness as (left, right, equation, product) or None.
@@ -230,7 +230,7 @@ def _ref_abc(engine):
     for bid in sorted(spaces):
         for f in spaces[bid][1]:
             for which in ("del", "dbar"):
-                image = engine._derive(which, f)
+                image = apply_derivation(engine.spec, which, f)
                 if not inside(image):
                     return False, {}, (f, engine.spec.one(),
                                        "%s-closure" % which, image)

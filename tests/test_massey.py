@@ -7,13 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermform.calculus import HodgeEngine, NotClosedError
+from hermform.calculus import HodgeEngine, NotClosedError, apply_derivation
 from hermform.catalog import engine_for, load, massey_case
 from hermform.formality import check_formality
 from hermform.linalg import kernel_basis
 from hermform.massey import (PotentialError, solve_potential,
                              triple_abc_massey, verify_appendix_case)
-from hermform.model import Form
+from hermform.model import Form, ModelError
 from hermform.scalars import GaussianRational
 
 from test_calculus import generator_metric
@@ -27,11 +27,12 @@ def test_iwasawa_potential_oracle():
     spec = engine.spec
     target = spec.form_from_names(("p1", "p2", "q1", "q2"))
     f = solve_potential(engine, target)
-    got = engine._derive("del", engine._derive("dbar", f))
+    got = apply_derivation(spec, "del", apply_derivation(spec, "dbar", f))
     assert got.equals(target)
     # hand-check the classical potential
     hand = spec.gen("p3").wedge(spec.gen("q3"))
-    hand_image = engine._derive("del", engine._derive("dbar", hand))
+    hand_image = apply_derivation(
+        spec, "del", apply_derivation(spec, "dbar", hand))
     assert hand_image.is_multiple_of(target)
 
 
@@ -58,6 +59,19 @@ def test_inputs_must_be_bott_chern_harmonic():
     good = spec.gen("p1")
     with pytest.raises(NotClosedError):
         triple_abc_massey(engine, p3, good, good)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_zero_input_is_a_model_error(slot):
+    """Zero is Bott-Chern harmonic but has no bidegree to place the
+    product in."""
+    engine = engine_for("iwasawa")
+    spec = engine.spec
+    inputs = [spec.gen("p1")] * 3
+    inputs[slot] = spec.zero()
+    name = ("alpha", "beta", "gamma")[slot]
+    with pytest.raises(ModelError, match="^%s is zero" % name):
+        triple_abc_massey(engine, *inputs)
 
 
 def test_bad_supplied_potential_rejected():

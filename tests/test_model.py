@@ -1,13 +1,21 @@
 """Bigraded algebra structure: wedge, conjugation, actions."""
 
+import gc
 import random
+import weakref
+from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hermform import catalog, dsl
+from hermform.calculus import AssemblyError, HodgeEngine
 from hermform.catalog import calabi_eckmann, nakamura, torus
+from hermform.formality import check_all
 from hermform.model import (DiagonalAction, GeneratorSpec, ModelError,
                             ModelMismatch, ModelSpec, invariant_submodel)
-from hermform.scalars import GaussianRational, I, ONE
+from hermform.scalars import GaussianRational, I, ONE, ZERO
 
 
 def rand_form(spec, rng, terms=3):
@@ -117,6 +125,62 @@ def test_assignment_validation():
                   {"p1": {(0, 1, 0, 0): ONE}}, {})
 
 
+# torus:2 generators p1, p2, q1, q2; monomials are exponent 4-tuples
+P1, Q1 = (1, 0, 0, 0), (0, 0, 1, 0)
+P1P2, Q1Q2, P1Q1 = (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)
+
+
+@pytest.mark.parametrize("del_a,dbar_a,message", [
+    ({"x9": {P1P2: ONE}}, {}, "assignment on unknown generator 'x9'"),
+    ({}, {"x9": {Q1Q2: ONE}}, "assignment on unknown generator 'x9'"),
+    ({"p1": {P1: ONE}}, {}, "del p1 has bidegree (1, 0), want (2, 0)"),
+    ({}, {"q1": {Q1: ONE}}, "dbar q1 has bidegree (0, 1), want (0, 2)"),
+    # del p2 with no conjugate dbar q2, and the reverse
+    ({"p2": {P1P2: ONE}}, {},
+     "conjugation compatibility fails: dbar(q2) != conj(del p2)"),
+    ({}, {"q2": {Q1Q2: ONE}},
+     "conjugation compatibility fails: dbar(q2) != conj(del p2)"),
+    ({"p2": {P1P2: ONE}}, {"q2": {Q1Q2: 2 * ONE}},
+     "conjugation compatibility fails: dbar(q2) != conj(del p2)"),
+    # dbar of a (1,0) generator with no conjugate del, and the reverse
+    ({}, {"p2": {P1Q1: ONE}},
+     "conjugation compatibility fails: dbar(p2) != conj(del q2)"),
+    ({"q2": {P1Q1: ONE}}, {},
+     "conjugation compatibility fails: dbar(p2) != conj(del q2)"),
+])
+def test_assignment_validation_messages(del_a, dbar_a, message):
+    with pytest.raises(ModelError) as e:
+        ModelSpec("bad", 2, torus(2).generators, del_a, dbar_a)
+    assert str(e.value) == message
+
+
+def test_image_of_mixed_bidegree_is_refused():
+    """Each monomial of an image is checked, so a conjugation-compatible
+    image with a term in the wrong bidegree is refused too."""
+    other = torus(2)
+    p1 = other.gen("p1")
+    mixed = p1.wedge(other.gen("p2")) + p1.wedge(other.gen("q1"))
+    with pytest.raises(ModelError) as e:
+        ModelSpec("bad", 2, other.generators,
+                  {"p1": mixed}, {"q1": mixed.conjugate()})
+    assert str(e.value) == "del p1 has bidegree (1, 1), want (2, 0)"
+
+
+def test_zero_images_are_dropped():
+    spec = ModelSpec("t", 2, torus(2).generators,
+                     {"p1": {}, "p2": {P1P2: ZERO}}, {"q1": {Q1Q2: ZERO}})
+    assert spec.differentials == {"del": {}, "dbar": {}}
+
+
+def test_form_images_are_accepted():
+    other = torus(2)
+    p1p2 = other.gen("p1").wedge(other.gen("p2"))
+    by_form = ModelSpec("t", 2, other.generators,
+                        {"p2": p1p2}, {"q2": p1p2.conjugate()})
+    assert by_form.differentials == {"del": {"p2": {P1P2: ONE}},
+                                     "dbar": {"q2": {Q1Q2: ONE}}}
+
+
 def test_diagonal_action_validation(iwasawa):
     with pytest.raises(ModelError):
         DiagonalAction.from_map(iwasawa, {
@@ -144,8 +208,99 @@ def test_invariant_submodel_requires_equivariance(iwasawa):
     assert keep(next(iter(mono_p1q1.components)))
 
 
+ACTION_MODELS = ("torus:2", "iwasawa", "nakamura:IV.3", "nakamura:IV.4",
+                 "ce:u=1,v=2", "ce:u=1,v=1")
+UNITS = (ONE, I, GaussianRational(-1), -I)   # i^k for k = 0..3
+
+
+def _check_action(spec, draws, seen):
+    """Draws become i^k per generator: a conjugate pair takes k and -k, a
+    real generator k in {0, 2}.  The action is equivariant when every
+    monomial of every image has its generator's weight; an accepted
+    action's bases hold exactly the weight-1 monomials, counted here over
+    all exponent vectors."""
+    k = {}
+    for g, d in zip(spec.generators, draws):
+        k[g.name] = (2 * (d % 2) if g.conjugate == g.name
+                     else -k[g.conjugate] % 4 if g.conjugate in k else d)
+    ks = [k[g.name] for g in spec.generators]
+
+    def weight(mono):
+        return sum(e * x for e, x in zip(mono, ks)) % 4
+
+    equivariant = all(weight(m) == k[name]
+                      for images in spec.differentials.values()
+                      for name, image in images.items() for m in image)
+    action = DiagonalAction.from_map(
+        spec, {name: UNITS[x] for name, x in k.items()})
+    try:
+        keep = invariant_submodel(spec, action)
+    except ModelError:
+        assert not equivariant
+        seen["rejected"] += 1
+        return
+    assert equivariant
+    seen["accepted"] += 1
+    if weight(spec.volume_monomial):
+        with pytest.raises(AssemblyError, match="volume monomial"):
+            HodgeEngine(spec, monomial_filter=keep)
+        return
+    counts = Counter(spec.monomial_bidegree(m) for m in product(
+        *(range(g.truncation) for g in spec.generators)) if not weight(m))
+    engine = HodgeEngine(spec, monomial_filter=keep)
+    assert {bid: len(engine.basis(*bid)) for bid in spec.bidegrees()} \
+        == {bid: counts[bid] for bid in spec.bidegrees()}
+
+
+def test_invariant_submodel_accepts_exactly_the_equivariant_actions():
+    specs = [catalog.load(ident) for ident in ACTION_MODELS]
+    seen = Counter()
+
+    @settings(max_examples=50, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    def check(draws):
+        for spec in specs:
+            _check_action(spec, draws, seen)
+
+    check()
+    assert seen["accepted"] and seen["rejected"]
+
+
 def test_form_from_names_and_pretty(iwasawa):
     f = iwasawa.form_from_names(("p3", "q1", "q2", "q3"))
     assert f.bidegree() == (1, 3)
     assert f.pretty(ascii_only=True) == "p3*q1*q2*q3"
     assert iwasawa.zero().pretty() == "0"
+
+
+@pytest.fixture
+def no_cyclic_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("load", [
+    lambda: catalog.load_with_action("nakamura:V.4"),
+    lambda: catalog.load_with_action("example1:invariant"),
+    lambda: (dsl.parse("algebra m dim 3\nholo p1 p2 p3\nd p3 = -p1*p2\n"),
+             None),
+], ids=["catalog", "invariant", "dsl"])
+def test_released_spec_is_freed_by_reference_counting(no_cyclic_collector,
+                                                      load):
+    """A model holds no reference cycle, so a spec used by an engine is
+    freed as soon as the last reference goes, with no cyclic collector."""
+    def use():
+        spec, action = load()
+        engine = HodgeEngine(spec, monomial_filter=(
+            invariant_submodel(spec, action) if action else None))
+        engine.cohomology_table()
+        check_all(engine)
+        return weakref.ref(spec)
+
+    assert use()() is None
