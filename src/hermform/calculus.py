@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from operator import sub
 
 from . import linalg
 from .linalg import Matrix
@@ -116,33 +117,37 @@ def _derive_monomial(table, mono):
     left * t * right, left = g_0^m_0 ... g_i^(e-1).  Its parity is
     s = P[i] + (e-1)*odd_i, plus t_k * (s - P[k+1]) for each odd k < i,
     where t passes the rest of left, plus t_k * (P[k] - P[i+1]) for each
-    odd k > i+1, where the factors of right before k pass t_k.
+    odd k > i+1, where the factors of right before k pass t_k.  Most
+    terms reach a truncation, so each is tested first, and P is built
+    for the first term that does not.
     """
     odd, trunc, terms = table
-    prefix = [0]
-    for e, o in zip(mono, odd):
-        prefix.append(prefix[-1] + e * o)
+    prefix = None
     out = {}
     for i, e in enumerate(mono):
         if not e or terms[i] is None:
             continue
-        base = prefix[i] + (e - 1) * odd[i]
-        after = prefix[i + 1]
         for support, c, neg in terms[i]:
-            m = list(mono)
-            m[i] = e - 1
-            parity = base
             for k, t, o in support:
-                x = m[k] + t
-                if x >= trunc[k]:
+                if mono[k] + t - (k == i) >= trunc[k]:
                     break
-                m[k] = x
-                if o:
-                    if k < i:
-                        parity += t * (base - prefix[k + 1])
-                    elif k > i + 1:
-                        parity += t * (prefix[k] - after)
             else:
+                if prefix is None:
+                    prefix = [0]
+                    for x, o in zip(mono, odd):
+                        prefix.append(prefix[-1] + x * o)
+                base = prefix[i] + (e - 1) * odd[i]
+                after = prefix[i + 1]
+                m = list(mono)
+                m[i] = e - 1
+                parity = base
+                for k, t, o in support:
+                    m[k] += t
+                    if o:
+                        if k < i:
+                            parity += t * (base - prefix[k + 1])
+                        elif k > i + 1:
+                            parity += t * (prefix[k] - after)
                 v = neg if parity % 2 else c
                 if e != 1:
                     v = v * e
@@ -181,25 +186,42 @@ class InnerProduct:
         return self.weights.get(mono, _UNIT_WEIGHT)
 
 
+def _form(spec, basis, row):
+    """The Form with the sparse row {position: scalar} as its
+    coefficients on the basis, a list of monomials."""
+    return Form(spec, {basis[j]: c for j, c in sorted(row.items())})
+
+
 class HarmonicBasis:
     """Basis of a harmonic space for one theory and degree.
 
-    `space` is the kernel as a Subspace of the degree's coordinates; the
-    forms are its reduced row echelon basis, so coordinates in `space`
-    are coordinates on `forms`.
+    `space` is the kernel as a Subspace of the coordinates on `basis`,
+    the degree's monomials of `spec`; the forms are its reduced row
+    echelon basis, so coordinates in `space` are coordinates on `forms`.
+    The forms are built on first read, and they hold the model only, not
+    the engine.
     """
 
-    __slots__ = ("theory", "bidegree", "forms", "space")
+    __slots__ = ("theory", "bidegree", "space", "_spec", "_basis", "_forms")
 
-    def __init__(self, theory, bidegree, forms, space):
+    def __init__(self, theory, bidegree, space, spec, basis):
         self.theory = theory
         self.bidegree = bidegree
-        self.forms = forms
         self.space = space
+        self._spec = spec
+        self._basis = basis
+        self._forms = None
+
+    @property
+    def forms(self):
+        if self._forms is None:
+            self._forms = [_form(self._spec, self._basis, row)
+                           for row in self.space.rows]
+        return self._forms
 
     @property
     def dim(self):
-        return len(self.forms)
+        return self.space.dim
 
     def __iter__(self):
         return iter(self.forms)
@@ -255,7 +277,10 @@ class HodgeEngine:
         self._weight_scalars = {}
         self._matrix = {}
         self._adjoint = {}
-        self._star = {}
+        self._odd_last_first = [k for k in range(len(spec.generators) - 1,
+                                                 -1, -1)
+                                if spec.generators[k].odd]
+        self._star_maps = {}
         self._star_blocks = {}
         self._rrefs = {}
         self._harmonic = {}
@@ -340,8 +365,7 @@ class HodgeEngine:
     def form(self, row, *degree):
         """The Form with the sparse row {position: scalar} as its
         coefficients on the degree's basis."""
-        basis = self.basis(*degree)
-        return Form(self.spec, {basis[j]: c for j, c in sorted(row.items())})
+        return _form(self.spec, self.basis(*degree), row)
 
     def product(self, ma, mb):
         """(monomial, +-1) with ma * mb = +-monomial, or (None, 0) when
@@ -487,7 +511,8 @@ class HodgeEngine:
             echelon = (self._rref(ops[:-1], degree).copy() if len(ops) > 1
                        else linalg.Echelon())
             for row in self.matrix(ops[-1], *degree).data:
-                echelon.add(row)
+                if row:
+                    echelon.add(row)
             self._rrefs[key] = echelon
         return self._rrefs[key]
 
@@ -509,25 +534,91 @@ class HodgeEngine:
 
     # -- star ----------------------------------------------------------
 
-    def _star_monomial(self, mono):
-        """(complement, c): star of the monomial is c times its
-        complement, c = +-weight with the sign of mono ^ complement
-        = +-vol.  Built once per monomial and engine."""
-        if mono not in self._star:
-            comp = tuple(v - e for v, e in zip(self.spec.volume_monomial,
-                                               mono))
-            sign = _merge_monomials(self.spec, mono, comp)[1]
-            w = self._weight_pair(self.ip.weight(mono))[0]
-            self._star[mono] = (comp, w if sign > 0 else -w)
-        return self._star[mono]
+    def _complement(self, mono):
+        """(complement, odd): mono ^ complement = (-1)^odd vol.  odd is
+        the parity of the odd factors of mono that each odd factor of
+        the complement passes, those at later positions."""
+        comp = tuple(map(sub, self.spec.volume_monomial, mono))
+        parity = passed = 0
+        for k in self._odd_last_first:
+            parity += comp[k] * passed
+            passed += mono[k]
+        return comp, parity % 2
 
     def star(self, form):
-        """Conjugate-linear Hodge star for the diagonal inner product."""
+        """Conjugate-linear Hodge star for the diagonal inner product:
+        the monomial m goes to +-weight(m) times its complement, with
+        the sign of m ^ complement = +-vol."""
         out = self.spec.zero()
         for mono, coeff in form.components.items():
-            comp, c = self._star_monomial(mono)
-            out = out + self.spec.monomial_form(comp, coeff.conjugate() * c)
+            comp, odd = self._complement(mono)
+            c = coeff.conjugate() * self._weight_pair(self.ip.weight(mono))[0]
+            out = out + self.spec.monomial_form(comp, -c if odd else c)
         return out
+
+    def _dual(self, degree):
+        """The degree that star maps the degree onto."""
+        n = self.spec.n
+        return ((2 * n - degree[0],) if len(degree) == 1
+                else (n - degree[0], n - degree[1]))
+
+    def _star_map(self, degree):
+        """The star column map of the degree, built once per engine."""
+        columns = self._star_maps.get(degree)
+        if columns is None:
+            columns = self._star_maps[degree] = self._star_columns(degree)
+        return columns
+
+    def _star_columns(self, degree):
+        """(source, c), two lists over the dual degree's basis: star
+        sends basis monomial source[i] of the degree to c[i] times
+        monomial i.  Each c[i] is a weight scalar or one negated copy
+        per weight.  Raises unless star maps the degree's basis onto the
+        dual's."""
+        if len(degree) == 1:
+            return self._total_star_columns(degree[0])
+        index = self.index(*self._dual(degree))
+        src = self.basis(*degree)
+        weights = self._scalar_weights(degree)[0]
+        source, const = [None] * len(index), [None] * len(index)
+        negated = {}
+        for j, mono in enumerate(src):
+            comp, odd = self._complement(mono)
+            i = index.get(comp)
+            if i is None:
+                break
+            w = weights[j]
+            if odd:
+                if id(w) not in negated:
+                    negated[id(w)] = -w
+                w = negated[id(w)]
+            source[i], const[i] = j, w
+        else:
+            # the complement is one to one, so onto when the sizes agree
+            if len(src) == len(index):
+                return source, const
+        raise AssemblyError("subcomplex is not closed under star at %s"
+                            % _label(degree))
+
+    def _total_star_columns(self, k):
+        """_star_columns of the total degree k, read off the maps of its
+        bidegrees: star maps (p, q) onto (n - p, n - q), so each block of
+        the dual lists the map of its dual bidegree, shifted to where
+        that bidegree starts in k."""
+        n = self.spec.n
+        offsets = dict(self._blocks(k))
+        source, const = [], []
+        for (p, q), _ in self._blocks(2 * n - k):
+            if self.basis(p, q):
+                block, c = self._star_map((n - p, n - q))
+                offset = offsets[n - p, n - q]
+                source += [offset + j for j in block]
+                const += c
+        # each block is a bijection, so all of k is hit when sizes agree
+        if len(source) != len(self.basis(k)):
+            raise AssemblyError("subcomplex is not closed under star at %s"
+                                % _label((k,)))
+        return source, const
 
     def _after_star(self, op, degree):
         """Matrix K with: op(star a) = 0  <=>  K a = 0, built once per
@@ -541,25 +632,15 @@ class HodgeEngine:
         """The matrix of _after_star, read off op at the dual degree: star
         sends basis monomial j to c_j times its complement and is
         conjugate-linear, so column j is c_j times the conjugate of op's
-        column at the complement.
+        column at the complement.  The star column map of the degree is
+        built once per engine and shared by every operator.
         """
-        n = self.spec.n
-        dual = ((2 * n - degree[0],) if len(degree) == 1
-                else (n - degree[0], n - degree[1]))
-        fwd = self.matrix(op, *dual)
-        index = self.index(*dual)
-        src = self.basis(*degree)
-        column = {}
-        for j, mono in enumerate(src):
-            comp, c = self._star_monomial(mono)
-            column[index.get(comp)] = (j, c)
-        if None in column or len(column) != len(index):
-            raise AssemblyError("subcomplex is not closed under star at %s"
-                                % _label(degree))
-        mat = Matrix(fwd.rows, len(src))
+        source, const = self._star_map(degree)
+        fwd = self.matrix(op, *self._dual(degree))
+        mat = Matrix(fwd.rows, len(source))
         for entries, out in zip(fwd.data, mat.data):
             for i, a in entries.items():
-                j, c = column[i]
+                j, c = source[i], const[i]
                 a = a.conjugate()
                 out[j] = a if c is ONE else c * a
         return mat
@@ -584,19 +665,20 @@ class HodgeEngine:
             by_star, by_adjoint = closed.copy(), closed.copy()
             for op in ops.exact:
                 for row in self._after_star(op, degree).data:
-                    by_star.add(row)
+                    if row:
+                        by_star.add(row)
                 for row in self.adjoint_matrix(op, *degree).data:
-                    by_adjoint.add(row)
+                    if row:
+                        by_adjoint.add(row)
             rref = by_star.view()
             if rref != by_adjoint.view():
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-            space = linalg._kernel(len(self.basis(*degree)), rref)
-            forms = [self.form(row, *degree) for row in space.rows]
+            basis = self.basis(*degree)
             self._harmonic[key] = HarmonicBasis(
-                theory, degree if len(degree) > 1 else degree[0], forms,
-                space)
+                theory, degree if len(degree) > 1 else degree[0],
+                linalg._kernel(len(basis), rref), self.spec, basis)
         return self._harmonic[key]
 
     def de_rham_harmonic(self, k):

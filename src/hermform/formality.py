@@ -83,12 +83,12 @@ class FormalityReport:
         return "FormalityReport(%s, %s)" % (self.notion, self.verdict)
 
 
-# One space at one degree.  `space` is its Subspace; `forms` and `rows`
-# are the basis the canonical scan walks, as Forms and as sparse rows
-# {position: scalar}; `span` is the RREF basis of `space`.  A theory's
-# harmonic space has one basis for both; "abc" walks the forms of ℋ_A
-# then those of ℋ_BC, which on a torus repeat each form.
-_Space = namedtuple("_Space", ["space", "forms", "rows", "span"])
+# One space at one degree.  `space` is its Subspace; `rows` is the basis
+# the canonical scan walks, as sparse rows {position: scalar}, and only
+# a witness is made a Form; `span` is the RREF basis of `space`.  A
+# theory's harmonic space has one basis for both; "abc" walks the rows
+# of ℋ_A then those of ℋ_BC, which on a torus repeat each row.
+_Space = namedtuple("_Space", ["space", "rows", "span"])
 
 
 class _Spaces:
@@ -108,13 +108,13 @@ class _Spaces:
 
     def _build(self, name, degree):
         if name != "abc":
-            h = self.engine.harmonic_space(name, *degree)
-            return _Space(h.space, h.forms, h.space.rows, h.space.rows)
+            space = self.engine.harmonic_space(name, *degree).space
+            return _Space(space, space.rows, space.rows)
         a = self.engine.harmonic_space("aeppli", *degree)
         bc = self.engine.harmonic_space("bott_chern", *degree)
         rows = a.space.rows + bc.space.rows
         span = Subspace._from_rows(a.space.ambient, rows)
-        return _Space(span, a.forms + bc.forms, rows, span.rows)
+        return _Space(span, rows, span.rows)
 
     def terms(self, name, degree, which):
         """The rows of get(name, degree).`which` as (monomial, scalar)
@@ -204,8 +204,10 @@ def _first_violation(spaces, sweep):
                     row = engine.wedge_row(a, b, *total)
                     if row and not spaces.get(
                             sweep.target, total).space.contains_row(row):
-                        f = spaces.get(sweep.left, left).forms[i]
-                        g = spaces.get(sweep.right, right).forms[k]
+                        f = engine.form(
+                            spaces.get(sweep.left, left).rows[i], *left)
+                        g = engine.form(
+                            spaces.get(sweep.right, right).rows[k], *right)
                         return Witness(f, g, sweep.equation, f.wedge(g))
     return None
 
@@ -218,13 +220,14 @@ def _closure_violation(spaces):
         abc = spaces.get("abc", degree)
         images = {which: engine.matrix(which, *degree).mul_rows(abc.rows)
                   for which in ("del", "dbar")}
-        for k, f in enumerate(abc.forms):
+        for k, row in enumerate(abc.rows):
             for which in ("del", "dbar"):
                 image = images[which][k]
                 target = _add(degree, SHIFT[which])
                 if image and not spaces.get(
                         "abc", target).space.contains_row(image):
-                    return Witness(f, engine.spec.one(),
+                    return Witness(engine.form(row, *degree),
+                                   engine.spec.one(),
                                    "%s-closure" % which,
                                    engine.form(image, *target))
     return None

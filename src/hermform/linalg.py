@@ -146,14 +146,20 @@ class Echelon:
     grown one row at a time: each kept row has 1 at its pivot, its first
     column, and 0 at every other pivot column.  That form of a row space
     is unique, so it does not depend on the order of the rows.  `add`
-    never changes the row it is given."""
+    never changes the row it is given.
 
-    __slots__ = ("_by_pivot",)
+    `_touched` holds every non-pivot column at which a kept row may be
+    nonzero (it may hold more).  A new pivot column outside it is 0 in
+    every kept row, so adding that row rewrites no other row."""
+
+    __slots__ = ("_by_pivot", "_touched")
 
     def __init__(self, rows=()):
         self._by_pivot = {}
+        self._touched = set()
         for row in rows:
-            self.add(row)
+            if row:
+                self.add(row)
 
     def __len__(self):
         return len(self._by_pivot)
@@ -169,15 +175,20 @@ class Echelon:
         if row[c] != 1:
             inv = ONE / row[c]
             row = {j: a * inv for j, a in row.items()}
-        for other in self._by_pivot.values():
-            a = other.get(c)
-            if a is not None:
-                for j, b in row.items():
-                    v = other.get(j, ZERO) - a * b
-                    if v:
-                        other[j] = v
-                    else:
-                        other.pop(j, None)
+        touched = self._touched
+        if c in touched:
+            for other in self._by_pivot.values():
+                a = other.get(c)
+                if a is not None:
+                    for j, b in row.items():
+                        v = other.get(j, ZERO) - a * b
+                        if v:
+                            other[j] = v
+                        else:
+                            other.pop(j, None)
+        # the row holds no other pivot column, and no kept row holds c now
+        touched.update(row)
+        touched.discard(c)
         self._by_pivot[c] = row
         return True
 
@@ -190,6 +201,7 @@ class Echelon:
         rows it keeps, so the copy gets its own row dicts."""
         other = Echelon()
         other._by_pivot = {c: dict(row) for c, row in self._by_pivot.items()}
+        other._touched = set(self._touched)
         return other
 
 
@@ -200,15 +212,24 @@ def kernel_basis(m):
 
 def _kernel(cols, rref):
     """Kernel of the first `cols` columns of an RREF {pivot: row} whose
-    pivots all lie in those columns."""
-    # one kernel row per free column f: 1 at f, minus column f of the
-    # RREF at each pivot (RREF rows hold no other pivot column)
+    pivots all lie in those columns.
+
+    Each free column f gives the kernel row e_f minus column f of the
+    RREF at each pivot (RREF rows hold no other pivot column).  No other
+    kernel row is nonzero at f, so when no RREF row holds f, e_f is a row
+    of the kernel's own RREF as it stands; only the rows of the free
+    columns that some RREF row holds are reduced."""
     free = {f: {f: ONE} for f in range(cols) if f not in rref}
+    coupled = set()
     for c, row in rref.items():
         for f, a in row.items():
             if f != c and f < cols:
                 free[f][c] = -a
-    return Subspace._from_rows(cols, list(free.values()))
+                coupled.add(f)
+    by_pivot = Echelon(row for f, row in free.items()
+                       if f in coupled)._by_pivot
+    by_pivot.update((f, row) for f, row in free.items() if f not in coupled)
+    return Subspace._from_rref(cols, dict(sorted(by_pivot.items())))
 
 
 def solve(m, b):
@@ -256,9 +277,15 @@ class Subspace:
     @classmethod
     def _from_rows(cls, ambient, rows):
         """Subspace spanned by sparse row dicts {column: scalar}."""
+        return cls._from_rref(ambient, Echelon(rows).view())
+
+    @classmethod
+    def _from_rref(cls, ambient, by_pivot):
+        """Subspace whose RREF {pivot: row} in increasing pivot order is
+        given; it keeps the dict and its rows."""
         self = cls.__new__(cls)
         self.ambient = ambient
-        self._by_pivot = Echelon(rows).view()
+        self._by_pivot = by_pivot
         return self
 
     @property

@@ -99,6 +99,14 @@ def _potential_terms(engine, f, target, bid):
     return [(basis[k], x) for k, x in row.items()]
 
 
+def _aeppli_terms(engine, p, q):
+    """The Aeppli-harmonic basis at (p, q) as (monomial, scalar) terms,
+    read off the sparse rows, so no Form is built."""
+    basis = engine.basis(p, q)
+    return [[(basis[j], c) for j, c in row.items()]
+            for row in engine.harmonic_space("aeppli", p, q).space.rows]
+
+
 def triple_abc_massey(engine, alpha, beta, gamma,
                       f_ab=None, f_bg=None):
     """Compute the triple ABC-Massey product of BC-harmonic inputs.
@@ -126,14 +134,10 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     rep = linalg.axpy(engine.wedge_row(a, f_bg, *bid), -ONE,
                       engine.wedge_row(f_ab, c, *bid))
     cls, projection = engine.class_row("aeppli", rep, *bid)
-    products = ([engine.wedge_row(alpha.components.items(),
-                                  xi.components.items(), *bid)
-                 for xi in engine.harmonic_space("aeppli", r + u - 1,
-                                                 s + v - 1)]
-                + [engine.wedge_row(zeta.components.items(),
-                                    gamma.components.items(), *bid)
-                   for zeta in engine.harmonic_space("aeppli", p + r - 1,
-                                                     q + s - 1)])
+    products = ([engine.wedge_row(alpha.components.items(), xi, *bid)
+                 for xi in _aeppli_terms(engine, r + u - 1, s + v - 1)]
+                + [engine.wedge_row(zeta, gamma.components.items(), *bid)
+                   for zeta in _aeppli_terms(engine, p + r - 1, q + s - 1)])
     indet = Subspace._from_rows(len(cls), [
         linalg._sparse(engine.class_row("aeppli", row, *bid)[0])
         for row in products if row])

@@ -125,6 +125,13 @@ class ModelSpec:
                 p, q = self.generator(name).bidegree
                 want = (p + dp, q + dq)
                 for mono in image:
+                    if len(mono) != len(self.generators) or not all(
+                            0 <= e < g.truncation
+                            for e, g in zip(mono, self.generators)):
+                        raise ModelError(
+                            "%s %s has monomial %s, not one exponent per "
+                            "generator below its truncation"
+                            % (op, name, mono))
                     bid = self.monomial_bidegree(mono)
                     if bid != want:
                         raise ModelError("%s %s has bidegree %s, want %s"

@@ -2,6 +2,7 @@
 
 import io
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -511,20 +512,28 @@ def test_weighted_adjoint_identity():
 
 def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
     """A cold engine builds each star block and each adjoint block once
-    per (op, degree), though several theories read the same block."""
-    star_builds, adjoint_builds = Counter(), Counter()
+    per (op, degree), though several theories read the same block, and
+    the star column map once per degree, though several ops read it."""
+    star_builds, adjoint_builds, column_builds = (Counter(), Counter(),
+                                                  Counter())
     star_block = HodgeEngine._star_block
+    star_columns = HodgeEngine._star_columns
     weighted_adjoint = HodgeEngine._weighted_adjoint
 
     def count_star(self, op, degree):
         star_builds[op, degree] += 1
         return star_block(self, op, degree)
 
+    def count_columns(self, degree):
+        column_builds[degree] += 1
+        return star_columns(self, degree)
+
     def count_adjoint(self, fwd, src, dst):
         op = next(key[0] for key, m in self._matrix.items() if m is fwd)
         adjoint_builds[op, dst] += 1
         return weighted_adjoint(self, fwd, src, dst)
     monkeypatch.setattr(HodgeEngine, "_star_block", count_star)
+    monkeypatch.setattr(HodgeEngine, "_star_columns", count_columns)
     monkeypatch.setattr(HodgeEngine, "_weighted_adjoint", count_adjoint)
     engine = HodgeEngine(load("nakamura:IV.3"))
     engine.cohomology_table()
@@ -535,6 +544,63 @@ def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
     assert {op for op, _ in adjoint_builds} == set(SHIFT)
     assert set(star_builds.values()) == {1}
     assert set(adjoint_builds.values()) == {1}
+    assert set(column_builds) == {degree for _, degree in star_builds}
+    assert set(column_builds.values()) == {1}
+
+
+def test_tables_and_harmonic_spaces_pay_per_nonzero(monkeypatch):
+    """A cold table plus every harmonic space adds no empty row to an
+    Echelon and builds no Form: harmonic forms are built when read."""
+    engine = HodgeEngine(load("nakamura:IV.3"))
+    empty_adds, forms = [], []
+    add = linalg.Echelon.add
+    form_init = Form.__init__
+
+    def counted_add(self, row):
+        if not row:
+            empty_adds.append(row)
+        return add(self, row)
+
+    def counted_init(self, *args, **kwargs):
+        forms.append(args)
+        form_init(self, *args, **kwargs)
+    monkeypatch.setattr(linalg.Echelon, "add", counted_add)
+    monkeypatch.setattr(Form, "__init__", counted_init)
+    engine.cohomology_table()
+    spaces = [engine.harmonic_space(theory, *degree) for theory in THEORY
+              for degree in engine.degrees(theory)]
+    assert sum(h.dim for h in spaces) > 0
+    assert empty_adds == [] and forms == []
+
+
+def test_harmonic_forms_are_built_on_first_read():
+    """`forms` is the Form of each RREF row of the space, built once."""
+    engine = engine_for("nakamura:IV.3")
+    for theory in THEORY:
+        for degree in engine.degrees(theory):
+            h = engine.harmonic_space(theory, *degree)
+            assert h.dim == len(h.forms) == h.space.dim
+            assert ([f.components for f in h.forms]
+                    == [engine.form(r, *degree).components
+                        for r in h.space.rows])
+            assert h.forms is h.forms
+
+
+@pytest.mark.parametrize("read_forms", (False, True))
+def test_released_engine_is_freed_by_reference_counting(no_cyclic_collector,
+                                                        read_forms):
+    """An engine holds no reference cycle, harmonic forms included: it is
+    freed as soon as the last reference goes, with no cyclic collector."""
+    def use():
+        engine = HodgeEngine(load("nakamura:IV.3"))
+        for theory in THEORY:
+            for degree in engine.degrees(theory):
+                h = engine.harmonic_space(theory, *degree)
+                if read_forms:
+                    h.forms
+        return weakref.ref(engine)
+
+    assert use()() is None
 
 
 def test_product_table_matches_wedge():

@@ -110,7 +110,7 @@ def test_unknown_notion_has_its_own_class(torus2):
 def test_generator_set_on_a_torus_is_the_degree_one_basis(ident):
     """On a torus every form is harmonic and the degree-one forms generate
     everything, so S is the degree-one basis of the right space, counted
-    on the span: 2n forms in every grading, ABC included, whose form list
+    on the span: 2n forms in every grading, ABC included, whose row list
     ℋ_A then ℋ_BC holds 4n."""
     engine = engine_for(ident)
     n = engine.spec.n
@@ -123,7 +123,7 @@ def test_generator_set_on_a_torus_is_the_degree_one_basis(ident):
         assert found == [(d, k) for d in ones
                          for k in range(spaces.get(sweep.right, d).space.dim)]
         assert len(found) == 2 * n, notion
-    assert sum(len(formality._Spaces(engine).get("abc", d).forms)
+    assert sum(len(formality._Spaces(engine).get("abc", d).rows)
                for d in ((1, 0), (0, 1))) == 4 * n
 
 
@@ -137,8 +137,8 @@ def test_generator_check_tests_the_unit_as_a_left_factor(monkeypatch):
     def stripped(theory, *degree):
         h = real(theory, *degree)
         if (theory, degree) == ("aeppli", (1, 0)):
-            return HarmonicBasis(theory, degree, [],
-                                 Subspace(h.space.ambient))
+            return HarmonicBasis(theory, degree, Subspace(h.space.ambient),
+                                 engine.spec, engine.basis(*degree))
         return h
     monkeypatch.setattr(engine, "harmonic_space", stripped)
     sweep = formality.SWEEPS["geom_aeppli"]

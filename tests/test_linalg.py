@@ -177,6 +177,111 @@ def test_echelon_keeps_its_own_rows():
         assert linalg.Echelon([row]).view() == linalg.Echelon([scaled]).view()
 
 
+def _gauss_jordan(rows, n):
+    """Dense reference RREF of the span of sparse rows over n columns,
+    as {pivot column: sparse row}."""
+    m = [_dense(row, n) for row in rows]
+    pivots = []
+    for c in range(n):
+        top = len(pivots)
+        p = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        inv = ONE / m[top][c]
+        m[top] = [a * inv for a in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[top])]
+        pivots.append(c)
+    return {c: _sparse(m[i]) for i, c in enumerate(pivots)}
+
+
+def _q_i(rng):
+    """A small nonzero element of Q(i)."""
+    while True:
+        a = GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        if a:
+            return a
+
+
+def _sparse_rows(rng, n):
+    """Seeded sparse rows over n columns: random ones, empty ones,
+    multiples of earlier ones, and chains {a, b}, {b, c} with a < b < c.
+    Added in that order a chain's second row takes pivot b, a column its
+    first row holds, so the first row must be back-substituted."""
+    rows = []
+    for _ in range(rng.randint(1, 9)):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append({})
+        elif kind < 0.2 and rows:
+            f = _q_i(rng)
+            rows.append({j: f * a for j, a in rng.choice(rows).items()})
+        elif kind < 0.5 and n >= 3:
+            a, b, c = sorted(rng.sample(range(n), 3))
+            rows.append({a: _q_i(rng), b: _q_i(rng)})
+            rows.append({b: _q_i(rng), c: _q_i(rng)})
+        else:
+            rows.append({j: _q_i(rng) for j in range(n)
+                         if rng.random() < 0.3})
+    return rows
+
+
+def test_echelon_matches_dense_gauss_jordan():
+    """Every view of a sparse Echelon, grown in random orders and split
+    across copies, is the dense reference RREF of the rows added so far,
+    and its touched set covers every non-pivot entry of its rows."""
+    rng = random.Random(83)
+    rewrites = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rows = _sparse_rows(rng, n)
+        rng.shuffle(rows)
+        cut = rng.randint(0, len(rows))
+        first = linalg.Echelon(rows[:cut])
+        assert first.view() == _gauss_jordan(rows[:cut], n)
+        # the rest goes to a copy and, in another order, to the original
+        branches = [(first.copy(), rows[cut:]),
+                    (first, rng.sample(rows[cut:], len(rows) - cut))]
+        for echelon, rest in branches:
+            for row in rest:
+                before = {c: dict(r) for c, r in echelon.view().items()}
+                echelon.add(row)
+                rewrites += any(echelon.view()[c] != r
+                                for c, r in before.items())
+                for c, r in echelon.view().items():
+                    assert set(r) - {c} <= echelon._touched
+            assert echelon.view() == _gauss_jordan(rows, n)
+    assert rewrites > 100
+
+
+def test_kernel_matches_reducing_every_free_row():
+    """The kernel read off an RREF equals the dense reduction of the
+    kernel row of every free column, 1 there and minus the column at
+    each pivot, whether or not some RREF row holds the column."""
+    rng = random.Random(97)
+    shortcuts = 0
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        rref = _gauss_jordan(_sparse_rows(rng, n), n)
+        free = []
+        for f in range(n):
+            if f not in rref:
+                row = {f: ONE}
+                for c, r in rref.items():
+                    if f in r:
+                        row[c] = -r[f]
+                free.append(row)
+                shortcuts += len(row) == 1
+        kernel = linalg._kernel(n, rref)
+        assert kernel._by_pivot == _gauss_jordan(free, n)
+        assert list(kernel._by_pivot) == sorted(kernel._by_pivot)
+    assert shortcuts > 100
+
+
 def test_mul_rows_matches_mul_vec():
     rng = random.Random(61)
     for _ in range(20):

@@ -1,6 +1,5 @@
 """Bigraded algebra structure: wedge, conjugation, actions."""
 
-import gc
 import random
 import weakref
 from collections import Counter
@@ -166,6 +165,24 @@ def test_image_of_mixed_bidegree_is_refused():
     assert str(e.value) == "del p1 has bidegree (1, 1), want (2, 0)"
 
 
+@pytest.mark.parametrize("mono", [
+    (1, 1, 0),          # one exponent short
+    (1, 1, 0, 0, 0),    # one exponent too many
+    (2, 0, 0, 0),       # p1 reaches its truncation
+    (1, 1, 1, -1),      # a negative exponent, of bidegree (2, 0)
+])
+def test_image_monomial_outside_the_monomials_is_refused(mono):
+    """A monomial of an image must have one exponent per generator, each
+    below its truncation: a model printed from any other would not parse
+    back to the same model."""
+    with pytest.raises(ModelError) as e:
+        ModelSpec("t", 2, torus(2).generators, {"p2": {mono: ONE}},
+                  {"q2": {Q1Q2: ONE}})
+    assert str(e.value) == (
+        "del p2 has monomial %s, not one exponent per generator below its "
+        "truncation" % (mono,))
+
+
 def test_zero_images_are_dropped():
     spec = ModelSpec("t", 2, torus(2).generators,
                      {"p1": {}, "p2": {P1P2: ZERO}}, {"q1": {Q1Q2: ZERO}})
@@ -272,17 +289,6 @@ def test_form_from_names_and_pretty(iwasawa):
     assert f.bidegree() == (1, 3)
     assert f.pretty(ascii_only=True) == "p3*q1*q2*q3"
     assert iwasawa.zero().pretty() == "0"
-
-
-@pytest.fixture
-def no_cyclic_collector():
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @pytest.mark.parametrize("load", [
