@@ -277,9 +277,6 @@ class HodgeEngine:
         self._weight_scalars = {}
         self._matrix = {}
         self._adjoint = {}
-        self._odd_last_first = [k for k in range(len(spec.generators) - 1,
-                                                 -1, -1)
-                                if spec.generators[k].odd]
         self._star_maps = {}
         self._star_blocks = {}
         self._rrefs = {}
@@ -510,9 +507,7 @@ class HodgeEngine:
             # its last operator, which another theory shares
             echelon = (self._rref(ops[:-1], degree).copy() if len(ops) > 1
                        else linalg.Echelon())
-            for row in self.matrix(ops[-1], *degree).data:
-                if row:
-                    echelon.add(row)
+            echelon.extend(self.matrix(ops[-1], *degree).data)
             self._rrefs[key] = echelon
         return self._rrefs[key]
 
@@ -535,15 +530,9 @@ class HodgeEngine:
     # -- star ----------------------------------------------------------
 
     def _complement(self, mono):
-        """(complement, odd): mono ^ complement = (-1)^odd vol.  odd is
-        the parity of the odd factors of mono that each odd factor of
-        the complement passes, those at later positions."""
+        """(complement, sign): mono ^ complement = sign vol."""
         comp = tuple(map(sub, self.spec.volume_monomial, mono))
-        parity = passed = 0
-        for k in self._odd_last_first:
-            parity += comp[k] * passed
-            passed += mono[k]
-        return comp, parity % 2
+        return comp, _merge_monomials(self.spec, mono, comp)[1]
 
     def star(self, form):
         """Conjugate-linear Hodge star for the diagonal inner product:
@@ -551,9 +540,9 @@ class HodgeEngine:
         the sign of m ^ complement = +-vol."""
         out = self.spec.zero()
         for mono, coeff in form.components.items():
-            comp, odd = self._complement(mono)
+            comp, sign = self._complement(mono)
             c = coeff.conjugate() * self._weight_pair(self.ip.weight(mono))[0]
-            out = out + self.spec.monomial_form(comp, -c if odd else c)
+            out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
         return out
 
     def _dual(self, degree):
@@ -572,53 +561,25 @@ class HodgeEngine:
     def _star_columns(self, degree):
         """(source, c), two lists over the dual degree's basis: star
         sends basis monomial source[i] of the degree to c[i] times
-        monomial i.  Each c[i] is a weight scalar or one negated copy
-        per weight.  Raises unless star maps the degree's basis onto the
+        monomial i.  Raises unless star maps the degree's basis onto the
         dual's."""
-        if len(degree) == 1:
-            return self._total_star_columns(degree[0])
         index = self.index(*self._dual(degree))
         src = self.basis(*degree)
         weights = self._scalar_weights(degree)[0]
         source, const = [None] * len(index), [None] * len(index)
-        negated = {}
         for j, mono in enumerate(src):
-            comp, odd = self._complement(mono)
+            comp, sign = self._complement(mono)
             i = index.get(comp)
             if i is None:
                 break
             w = weights[j]
-            if odd:
-                if id(w) not in negated:
-                    negated[id(w)] = -w
-                w = negated[id(w)]
-            source[i], const[i] = j, w
+            source[i], const[i] = j, w if sign > 0 else -w
         else:
             # the complement is one to one, so onto when the sizes agree
             if len(src) == len(index):
                 return source, const
         raise AssemblyError("subcomplex is not closed under star at %s"
                             % _label(degree))
-
-    def _total_star_columns(self, k):
-        """_star_columns of the total degree k, read off the maps of its
-        bidegrees: star maps (p, q) onto (n - p, n - q), so each block of
-        the dual lists the map of its dual bidegree, shifted to where
-        that bidegree starts in k."""
-        n = self.spec.n
-        offsets = dict(self._blocks(k))
-        source, const = [], []
-        for (p, q), _ in self._blocks(2 * n - k):
-            if self.basis(p, q):
-                block, c = self._star_map((n - p, n - q))
-                offset = offsets[n - p, n - q]
-                source += [offset + j for j in block]
-                const += c
-        # each block is a bijection, so all of k is hit when sizes agree
-        if len(source) != len(self.basis(k)):
-            raise AssemblyError("subcomplex is not closed under star at %s"
-                                % _label((k,)))
-        return source, const
 
     def _after_star(self, op, degree):
         """Matrix K with: op(star a) = 0  <=>  K a = 0, built once per
@@ -664,12 +625,8 @@ class HodgeEngine:
             closed = self._rref(ops.closed, degree)
             by_star, by_adjoint = closed.copy(), closed.copy()
             for op in ops.exact:
-                for row in self._after_star(op, degree).data:
-                    if row:
-                        by_star.add(row)
-                for row in self.adjoint_matrix(op, *degree).data:
-                    if row:
-                        by_adjoint.add(row)
+                by_star.extend(self._after_star(op, degree).data)
+                by_adjoint.extend(self.adjoint_matrix(op, *degree).data)
             rref = by_star.view()
             if rref != by_adjoint.view():
                 raise AssemblyError(

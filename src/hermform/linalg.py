@@ -157,12 +157,15 @@ class Echelon:
     def __init__(self, rows=()):
         self._by_pivot = {}
         self._touched = set()
-        for row in rows:
-            if row:
-                self.add(row)
+        self.extend(rows)
 
     def __len__(self):
         return len(self._by_pivot)
+
+    def extend(self, rows):
+        """Add each nonempty row; an empty one adds nothing."""
+        for row in filter(None, rows):
+            self.add(row)
 
     def add(self, row):
         """Add the sparse row; whether it was outside the span so far."""
