@@ -284,6 +284,7 @@ class HodgeEngine:
         self._dim = {}
         self._exact = {}
         self._projection = {}
+        self._solvers = {}
         self._product = {}
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
@@ -460,6 +461,15 @@ class HodgeEngine:
                 else self._weighted_adjoint(self.matrix(op, *src), src,
                                             degree))
         return self._adjoint[key]
+
+    def min_norm_solver(self, *degree):
+        """MinNormSolver of del dbar from degree on Aeppli's closed RREF."""
+        if degree not in self._solvers:
+            self._solvers[degree] = linalg.MinNormSolver(
+                self.matrix("ddbar", *degree),
+                self._rref(("ddbar",), degree).view(),
+                self._scalar_weights(degree)[1])
+        return self._solvers[degree]
 
     def ddbar_adjoint_matrix(self, p, q):
         return self.adjoint_matrix("ddbar", p, q)

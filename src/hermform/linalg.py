@@ -5,9 +5,9 @@ matrices showing up downstream have only a handful of nonzero entries
 per row, so elimination stays cheap even at ambient dimension ~1000.
 
 One routine row-reduces: `Echelon`, which keeps the reduced row echelon
-form of a span as rows are added.  Ranks, kernels, solutions, the Gram
-inverse of a `Projector` and the basis a `Subspace` keeps are all read
-off it.
+form of a span as rows are added.  Ranks, kernels, solutions, the basis
+a `Subspace` keeps and the inverses that a `Projector` (its Gram matrix)
+and a `MinNormSolver` (rank sized) factor once are all read off it.
 
 Hermitian inner products are diagonal with positive rational weights and
 conjugate-linear in the second argument throughout.
@@ -92,13 +92,7 @@ class Matrix:
         """M x for each sparse column vector x {col: scalar} of xs, as
         sparse rows {row index: scalar}."""
         columns = self.columns()
-        out = []
-        for x in xs:
-            acc = {}
-            for j, b in x.items():
-                axpy(acc, b, columns[j])
-            out.append(acc)
-        return out
+        return [_combine(x.items(), columns) for x in xs]
 
     def is_zero(self):
         return all(not row for row in self.data)
@@ -139,6 +133,14 @@ def axpy(acc, c, row):
         else:
             acc.pop(j, None)
     return acc
+
+
+def _combine(terms, rows):
+    """The sparse row sum c * rows[k] over the (k, c) terms."""
+    out = {}
+    for k, c in terms:
+        axpy(out, c, rows[k])
+    return out
 
 
 class Echelon:
@@ -237,14 +239,6 @@ def _kernel(cols, rref):
 
 def solve(m, b):
     """Some x with M x = b, or None when b is outside the column span."""
-    solved = _solve_rref(m, b)
-    return None if solved is None else solved[0]
-
-
-def _solve_rref(m, b):
-    """(x, rref): x solves M x = b, and rref, the RREF {pivot: row} of
-    [M | b], restricted to M's columns is the RREF of M.  None when b is
-    outside the column span."""
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length %d != %d rows" % (len(b), m.rows))
     echelon = Echelon()
@@ -257,7 +251,7 @@ def _solve_rref(m, b):
     x = [ZERO] * m.cols
     for c, row in rref.items():
         x[c] = row.get(m.cols, ZERO)
-    return x, rref
+    return x
 
 
 class Subspace:
@@ -356,6 +350,25 @@ def inner(u, v, weights=None):
     return acc
 
 
+def _conjugates(rows, weights):
+    """Each sparse row conjugated and times its columns' scalar weights."""
+    return [{j: a.conjugate() if weights[j] is ONE
+             else a.conjugate() * weights[j]
+             for j, a in row.items()} for row in rows]
+
+
+def _inverse(rows, name):
+    """Inverse of the k x k matrix given as k sparse rows, as sparse
+    rows: the RREF of [A | I] is [I | A^-1] unless A is singular and a
+    pivot lands in I."""
+    k = len(rows)
+    rref = Echelon({**row, k + i: ONE} for i, row in enumerate(rows)).view()
+    if list(rref) != list(range(k)):
+        raise ArithmeticError("%s matrix is singular" % name)
+    return [{j - k: a for j, a in row.items() if j >= k}
+            for row in rref.values()]
+
+
 class Projector:
     """Weighted orthogonal projection onto a fixed subspace.
 
@@ -369,7 +382,6 @@ class Projector:
     def __init__(self, space, weights=None):
         self.space = space
         rows = space.rows
-        k = len(rows)
         # <v, b_i> = sum_j v_j * dual_i[j]; one scalar per distinct
         # weight, and no product for a unit weight
         if weights is None:
@@ -378,28 +390,11 @@ class Projector:
             scalar = {w: ONE if w == 1 else GaussianRational(w)
                       for w in set(weights)}
             weights = [scalar[w] for w in weights]
-        self._dual = [{j: a.conjugate() if weights[j] is ONE
-                       else a.conjugate() * weights[j]
-                       for j, a in row.items()} for row in rows]
-        # G[i][j] = <b_j, b_i>; invert by row-reducing [G | I], whose
-        # RREF is [I | G^-1] unless G is singular and a pivot lands in I
-        aug = []
-        for i, dual in enumerate(self._dual):
-            g = {k + i: ONE}
-            for j, row in enumerate(rows):
-                acc = ZERO
-                for t, a in row.items():
-                    d = dual.get(t)
-                    if d is not None:
-                        acc = acc + a * d
-                if acc:
-                    g[j] = acc
-            aug.append(g)
-        rref = Echelon(aug).view()
-        if list(rref) != list(range(k)):
-            raise ArithmeticError("Gram matrix is singular")
-        self._gram_inv = [{j - k: a for j, a in row.items() if j >= k}
-                          for row in rref.values()]
+        self._dual = _conjugates(rows, weights)
+        # G[i][j] = <b_j, b_i>: row i sums dual_i[t] times basis column t
+        columns = Matrix(len(rows), space.ambient, rows).columns()
+        self._gram_inv = _inverse([_combine(dual.items(), columns)
+                                   for dual in self._dual], "Gram")
 
     def coefficients(self, row):
         """Coefficients on space.rows of the projection of the sparse row
@@ -423,11 +418,42 @@ class Projector:
 
     def combine(self, coeffs):
         """The sparse row with the given coefficients on space.rows."""
-        out = {}
-        for c, row in zip(coeffs, self.space.rows):
-            if c:
-                axpy(out, c, row)
-        return out
+        return _combine(((k, c) for k, c in enumerate(coeffs) if c),
+                        self.space.rows)
+
+
+class MinNormSolver:
+    """Minimum-norm solutions of M x = t, factored once from R, the
+    RREF {pivot: row} of M's rows, and the inverse weights W^-1 of M's
+    columns as scalars (ONE for a unit weight).  x is W-orthogonal to
+    ker M = ker R, so x = W^-1 R^H z.  M = C R, C being M on R's pivot
+    columns, so rows J of M independent there give an invertible
+    rank(M) x rank(M) H = (M W^-1 R^H)_J, and z = H^-1 t_J.
+    """
+
+    __slots__ = ("_columns", "_rows", "_dual", "_inv")
+
+    def __init__(self, m, rref, inverse_weights):
+        self._columns = m.columns()
+        # the columns of W^-1 R^H, as sparse rows
+        self._dual = _conjugates(rref.values(), inverse_weights)
+        pivots, echelon = list(rref), Echelon()
+        self._rows = [i for i, row in enumerate(m.data) if echelon.add(
+            {k: row[c] for k, c in enumerate(pivots) if c in row})]
+        # row b of H^T sums dual_b[t] times column t of M_J, and row a
+        # of the inverse of H^T is column a of H^-1
+        columns = Matrix(len(self._rows), m.cols,
+                         [m.data[i] for i in self._rows]).columns()
+        self._inv = _inverse([_combine(dual.items(), columns)
+                              for dual in self._dual], "potential")
+
+    def solve(self, t):
+        """The minimum-norm x with M x = t, both sparse rows, or None
+        when t is outside M's column span: x is checked against M."""
+        z = _combine(((a, t[i]) for a, i in enumerate(self._rows) if i in t),
+                     self._inv)
+        x = _combine(z.items(), self._dual)
+        return x if _combine(x.items(), self._columns) == t else None
 
 
 def orthogonal_project(space, v, weights=None):
@@ -439,18 +465,12 @@ def orthogonal_project(space, v, weights=None):
 
 
 def min_norm_solve(m, b, weights=None):
-    """Minimum-norm solution of M x = b in the weighted inner product.
-
-    Returns None when the system is inconsistent.  Deterministic: the
-    particular solution from row reduction is projected off the kernel,
-    which is read off the same reduction.
+    """Minimum-norm solution of M x = b in the weighted inner product,
+    as a dense vector; None when the system is inconsistent.  Unique, so
+    deterministic: a `MinNormSolver` on the RREF of M's rows gives it.
     """
-    solved = _solve_rref(m, b)
-    if solved is None:
-        return None
-    x0, rref = solved
-    ker = _kernel(m.cols, rref)
-    if ker.dim == 0:
-        return x0
-    p = orthogonal_project(ker, x0, weights)
-    return [a - c for a, c in zip(x0, p)]
+    if len(b) != m.rows:
+        raise DimensionMismatch("rhs length %d != %d rows" % (len(b), m.rows))
+    inverse = [ONE / GaussianRational(w) for w in weights or [1] * m.cols]
+    x = MinNormSolver(m, Echelon(m.data).view(), inverse).solve(_sparse(b))
+    return None if x is None else [x.get(j, ZERO) for j in range(m.cols)]

@@ -16,7 +16,7 @@ from . import linalg
 from .calculus import NotClosedError
 from .linalg import Subspace
 from .model import ModelError
-from .scalars import ONE, ZERO
+from .scalars import ONE
 
 
 class PotentialError(ValueError):
@@ -28,8 +28,8 @@ def _potential(engine, target, bid):
     on the basis of bid = (p, q); f is a sparse row on the basis of
     (p-1, q-1).
 
-    Deterministic: row-reduced particular solution projected off the
-    kernel in the weighted inner product.
+    Unique, so deterministic; the engine's solver for (p-1, q-1) gives
+    it with no elimination and checks it.
     """
     if not target:
         return {}
@@ -37,12 +37,10 @@ def _potential(engine, target, bid):
     if p < 1 or q < 1:
         raise PotentialError("no (p-1, q-1) source space for bidegree %s"
                              % (bid,))
-    m = engine.matrix("ddbar", p - 1, q - 1)
-    x = linalg.min_norm_solve(m, [target.get(i, ZERO) for i in range(m.rows)],
-                              engine.weights(p - 1, q - 1))
-    if x is None:
+    f = engine.min_norm_solver(p - 1, q - 1).solve(target)
+    if f is None:
         raise PotentialError("target is not del-dbar-exact at %s" % (bid,))
-    return linalg._sparse(x)
+    return f
 
 
 def solve_potential(engine, target):
@@ -92,9 +90,9 @@ def _potential_terms(engine, f, target, bid):
             row = engine.row(f.components, *src)
         except ModelError:
             row = None
-    if row is None or engine.matrix("ddbar", *src).mul_rows(
-            [row])[0] != target:
-        raise PotentialError("supplied potential fails its equation")
+        if row is None or engine.matrix("ddbar", *src).mul_rows(
+                [row])[0] != target:
+            raise PotentialError("supplied potential fails its equation")
     basis = engine.basis(*src)
     return [(basis[k], x) for k, x in row.items()]
 

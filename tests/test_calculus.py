@@ -346,10 +346,11 @@ def generator_metric(spec, gen_weights):
     weights = {}
     for bid in spec.bidegrees():
         for mono in spec.basis(*bid):
-            w = Fraction(1)
+            num = den = 1
             for g, e in zip(gen_weights, mono):
-                w *= g ** e
-            weights[mono] = w
+                num *= g.numerator ** e
+                den *= g.denominator ** e
+            weights[mono] = Fraction(num, den)
     return InnerProduct(weights)
 
 

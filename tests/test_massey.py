@@ -2,19 +2,21 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermform import linalg
 from hermform.calculus import HodgeEngine, NotClosedError, apply_derivation
-from hermform.catalog import engine_for, load, massey_case
+from hermform.catalog import APPENDIX_CASES, engine_for, load, massey_case
 from hermform.formality import check_formality
-from hermform.linalg import kernel_basis
+from hermform.linalg import kernel_basis, orthogonal_project, solve
 from hermform.massey import (PotentialError, solve_potential,
                              triple_abc_massey, verify_appendix_case)
 from hermform.model import Form, ModelError
-from hermform.scalars import GaussianRational
+from hermform.scalars import ZERO, GaussianRational
 
 from test_calculus import generator_metric
 
@@ -50,6 +52,144 @@ def test_solve_potential_rejects_non_exact():
 def test_solve_potential_zero_target():
     engine = engine_for("iwasawa")
     assert solve_potential(engine, engine.spec.zero()).is_zero()
+
+
+def _reference_potential(engine, target, bid):
+    """The minimum-norm potential of a target at bid by two reductions:
+    a particular solution minus its projection onto ker del dbar.  None
+    when the target is not exact."""
+    p, q = bid
+    m = engine.matrix("ddbar", p - 1, q - 1)
+    row = engine.row(target.components, p, q)
+    x = solve(m, [row.get(i, ZERO) for i in range(m.rows)])
+    if x is None:
+        return None
+    ker = kernel_basis(m)
+    if ker.dim:
+        projection = orthogonal_project(ker, x, engine.weights(p - 1, q - 1))
+        x = [a - c for a, c in zip(x, projection)]
+    return Form(engine.spec, {mono: a for mono, a
+                              in zip(engine.basis(p - 1, q - 1), x) if a})
+
+
+def _signed_targets(alpha, beta, gamma):
+    """Both del-dbar targets of a triple product, signs included, each
+    with its bidegree, taken from the factors since a target can be 0."""
+    def sign(form):
+        return GaussianRational(-1 if sum(form.bidegree()) % 2 else 1)
+    return [(x.wedge(y) * sign(x), tuple(map(sum, zip(x.bidegree(),
+                                                       y.bidegree()))))
+            for x, y in ((alpha, beta), (beta, gamma))]
+
+
+APPENDIX_RUNS = [(case, None) for case in APPENDIX_CASES if case != "V.17"] + [
+    ("V.17", {"alpha": 1, "beta": 1}), ("V.17", {"alpha": 1, "beta": -1})]
+
+
+def test_potentials_match_two_reduction_reference():
+    """On every appendix case, under the default and a seeded
+    per-generator metric, both signed targets, each of them plus a basis
+    monomial, and del dbar of a seeded form: the minimum-norm potential
+    is the reference's, bit for bit, and a target without one raises
+    with the reason."""
+    kinds = set()
+    for case, params in APPENDIX_RUNS:
+        alpha, beta, gamma, _, default = massey_case(case, params)
+        spec = default.spec
+        rng = random.Random(len(kinds) + 43)
+        seeded = HodgeEngine(spec, generator_metric(
+            spec, [Fraction(rng.randint(1, 4), rng.randint(1, 4))
+                   for _ in spec.generators]))
+        targets = _signed_targets(alpha, beta, gamma)
+        targets += [(t + Form(spec, {spec.basis(*bid)[0]: 1}), bid)
+                    for t, bid in targets if spec.basis(*bid)]
+        # and del dbar of a seeded form, an exact target of wide support
+        (p, q) = targets[0][1]
+        x = {j: GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+             for j in range(len(default.basis(p - 1, q - 1)))}
+        targets.append((default.form(default.matrix("ddbar", p - 1, q - 1)
+                                     .mul_rows([{j: c for j, c in x.items()
+                                                 if c}])[0], p, q), (p, q)))
+        for engine in (default, seeded):
+            for target, bid in targets:
+                if target.is_zero():
+                    kinds.add("zero")
+                    assert solve_potential(engine, target).is_zero()
+                    continue
+                want = (_reference_potential(engine, target, bid)
+                        if min(bid) > 0 else None)
+                if want is None:
+                    kinds.add("not exact" if min(bid) > 0 else "no source")
+                    with pytest.raises(PotentialError, match=re.escape(
+                            "target is not del-dbar-exact at %s" % (bid,)
+                            if min(bid) > 0 else "no (p-1, q-1) source "
+                            "space for bidegree %s" % (bid,))):
+                        solve_potential(engine, target)
+                else:
+                    kinds.add("exact")
+                    got = solve_potential(engine, target)
+                    assert got.components == want.components
+    assert kinds == {"zero", "exact", "not exact", "no source"}
+
+
+def test_potentials_share_the_aeppli_closed_rref(monkeypatch):
+    """The appendix product on a cold V.10 engine factors one projector
+    (the Aeppli class at the product's bidegree) and no potential by
+    `min_norm_solve`.  Each source's del-dbar RREF is built once and is
+    the one the Aeppli harmonic space there reads, the solver is
+    rank(del dbar) sized, and a second potential at a source adds no
+    row to any Echelon."""
+    alpha, beta, gamma, _, cached = massey_case("V.10")
+    engine = HodgeEngine(cached.spec)
+    projectors, adds, reads = [], [], []
+
+    class CountedProjector(linalg.Projector):
+        __slots__ = ()
+
+        def __init__(self, space, weights=None):
+            projectors.append(space)
+            super().__init__(space, weights)
+
+    def no_min_norm_solve(*args):
+        raise AssertionError("min_norm_solve called")
+    add = linalg.Echelon.add
+
+    def counted_add(self, row):
+        adds.append(row)
+        return add(self, row)
+    rref = engine._rref
+
+    def traced_rref(ops, degree):
+        key = (ops, degree)
+        reads.append((key, key in engine._rrefs, rref(ops, degree)))
+        return reads[-1][2]
+    monkeypatch.setattr(linalg, "Projector", CountedProjector)
+    monkeypatch.setattr(linalg, "min_norm_solve", no_min_norm_solve)
+    monkeypatch.setattr(linalg.Echelon, "add", counted_add)
+    monkeypatch.setattr(engine, "_rref", traced_rref)
+
+    verdict = triple_abc_massey(engine, alpha, beta, gamma)
+    assert verdict.nonzero
+    assert list(engine._projection) == [("aeppli",) + verdict.bidegree]
+    assert len(projectors) == 1
+    targets = _signed_targets(alpha, beta, gamma)
+    sources = [(p - 1, q - 1) for _, (p, q) in targets if p and q]
+    assert set(engine._solvers) == set(sources)
+    for src in sources:
+        key = (("ddbar",), src)
+        built = engine._rrefs[key]
+        assert [hit for k, hit, _ in reads if k == key].count(False) == 1
+        del reads[:]
+        del engine._harmonic[("aeppli",) + src]
+        engine.harmonic_space("aeppli", *src)
+        assert [(k, hit) for k, hit, _ in reads] == [(key, True)]
+        assert reads[0][2] is built
+        assert len(engine.min_norm_solver(*src)._inv) == len(built)
+        assert len(built) < len(engine.basis(*src)) - len(built)
+    del adds[:]
+    for target, _ in targets:
+        solve_potential(engine, target)
+    assert adds == []
 
 
 def test_inputs_must_be_bott_chern_harmonic():
