@@ -11,13 +11,13 @@ product.  Tests compare the two everywhere.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 from operator import sub
 
 from . import linalg
 from .linalg import Matrix
-from .model import Form, ModelError, _merge_monomials
+from .model import Form, ModelError, _merge_monomials, _once
 from .scalars import GaussianRational, ONE, ZERO
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -76,7 +76,7 @@ class NotClosedError(ValueError):
 def apply_derivation(spec, op, form):
     """The differential op ("del" or "dbar") of the model on a form: its
     images of generators extended as a graded derivation."""
-    table = _leibniz_table(spec, op)
+    table = spec._leibniz_table(op)
     out = {}
     for mono, coeff in form.components.items():
         for m, c in _derive_monomial(table, mono).items():
@@ -84,32 +84,10 @@ def apply_derivation(spec, op, form):
     return Form(spec, out)
 
 
-def _leibniz_table(spec, op):
-    """(odd, truncation, terms) for the differential op: per generator
-    position the generator's odd parity (0 or 1) and truncation, and in
-    `terms` None where the generator has no image, else one (support, c,
-    -c) per term c*t of its image, support [(position k, exponent t_k,
-    odd_k)] over the positions of t.  Built once per model and operator;
-    it holds ints and scalars, no Form."""
-    table = spec._leibniz.get(op)
-    if table is None:
-        gens = spec.generators
-        images = spec.differentials[op]
-        odd = tuple(int(g.odd) for g in gens)
-        terms = []
-        for g in gens:
-            image = images.get(g.name)
-            terms.append(None if image is None else tuple(
-                (tuple((k, t, odd[k]) for k, t in enumerate(mt) if t), c, -c)
-                for mt, c in image.items()))
-        table = spec._leibniz[op] = (
-            odd, tuple(g.truncation for g in gens), tuple(terms))
-    return table
-
-
 def _derive_monomial(table, mono):
     """The derivation of one basis monomial as {monomial: coeff}: the
-    Leibniz sum over its factors, read off the table and no Form built.
+    Leibniz sum over its factors, read off the model's Leibniz table for
+    the operator and no Form built.
 
     With P[k] the odd degree of the factors before position k, the term
     c*t of the factor g_i^e lands on mono - e_i + t (unless an exponent
@@ -202,7 +180,7 @@ class HarmonicBasis:
     the engine.
     """
 
-    __slots__ = ("theory", "bidegree", "space", "_spec", "_basis", "_forms")
+    __slots__ = ("theory", "bidegree", "space", "_spec", "_basis", "_memo")
 
     def __init__(self, theory, bidegree, space, spec, basis):
         self.theory = theory
@@ -210,14 +188,12 @@ class HarmonicBasis:
         self.space = space
         self._spec = spec
         self._basis = basis
-        self._forms = None
+        self._memo = defaultdict(dict)
 
     @property
+    @_once
     def forms(self):
-        if self._forms is None:
-            self._forms = [_form(self._spec, self._basis, row)
-                           for row in self.space.rows]
-        return self._forms
+        return [_form(self._spec, self._basis, row) for row in self.space.rows]
 
     @property
     def dim(self):
@@ -265,53 +241,39 @@ class HodgeEngine:
     `harmonic_space` and `cohomology_dim` take either.  monomial_filter
     restricts to a subcomplex spanned by a subset of monomials (used for
     invariant submodels); the restriction is validated at assembly time.
+
+    Every per-degree artifact (bases, matrices, star and adjoint blocks,
+    closed RREFs, harmonic spaces, projectors, solvers) is built once per
+    engine by a method decorated with `_once` and kept in `_memo`.
     """
 
     def __init__(self, spec, inner_product=None, monomial_filter=None):
         self.spec = spec
         self.ip = inner_product or InnerProduct()
         self.filter = monomial_filter
-        self._basis = {}
-        self._index = {}
-        self._weight_pairs = {(1, 1): (ONE, ONE)}
-        self._weight_scalars = {}
-        self._matrix = {}
-        self._adjoint = {}
-        self._star_maps = {}
-        self._star_blocks = {}
-        self._rrefs = {}
-        self._harmonic = {}
-        self._dim = {}
-        self._exact = {}
-        self._projection = {}
-        self._solvers = {}
-        self._product = {}
+        self._memo = defaultdict(dict)
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
         self._validate_squares()
 
     # -- bases ---------------------------------------------------------
 
+    @_once
     def basis(self, *degree):
         """Monomials of the degree kept by the filter; a total degree
         lists its bidegrees (p, k - p) in increasing p."""
-        if degree not in self._basis:
-            if len(degree) == 1:
-                monos = [m for (p, q), _ in self._blocks(degree[0])
-                         for m in self.basis(p, q)]
-            else:
-                monos = self.spec.basis(*degree)
-                if self.filter is not None:
-                    monos = [m for m in monos if self.filter(m)]
-            self._basis[degree] = monos
-        return self._basis[degree]
+        if len(degree) == 1:
+            return [m for (p, q), _ in self._blocks(degree[0])
+                    for m in self.basis(p, q)]
+        monos = self.spec.basis(*degree)
+        if self.filter is not None:
+            monos = [m for m in monos if self.filter(m)]
+        return monos
 
+    @_once
     def index(self, *degree):
-        """Position of each basis monomial of the degree, built once."""
-        if degree not in self._index:
-            self._index[degree] = {m: i for i, m
-                                   in enumerate(self.basis(*degree))}
-        return self._index[degree]
+        """Position of each basis monomial of the degree."""
+        return {m: i for i, m in enumerate(self.basis(*degree))}
 
     def degrees(self, theory):
         """Degrees of the theory's grading with a nonempty basis, in
@@ -333,23 +295,21 @@ class HodgeEngine:
     def weights(self, *degree):
         return [self.ip.weight(m) for m in self.basis(*degree)]
 
-    def _weight_pair(self, w):
-        """(w, 1/w) as scalars for a weight w, built once per distinct
-        weight and engine; the unit weight is (ONE, ONE)."""
-        key = (w.numerator, w.denominator)
-        pair = self._weight_pairs.get(key)
-        if pair is None:
-            scalar = GaussianRational(w)
-            pair = self._weight_pairs[key] = (scalar, ONE / scalar)
-        return pair
+    @_once
+    def _weight_pair(self, numerator, denominator):
+        """(w, 1/w) as scalars for the weight w = numerator/denominator,
+        in lowest terms; the unit weight is (ONE, ONE)."""
+        if numerator == denominator:
+            return ONE, ONE
+        scalar = GaussianRational(Fraction(numerator, denominator))
+        return scalar, ONE / scalar
 
+    @_once
     def _scalar_weights(self, degree):
-        """(w, 1/w) on the degree's basis as scalars, built once."""
-        if degree not in self._weight_scalars:
-            pairs = [self._weight_pair(w) for w in self.weights(*degree)]
-            self._weight_scalars[degree] = ([w for w, _ in pairs],
-                                            [inv for _, inv in pairs])
-        return self._weight_scalars[degree]
+        """(w, 1/w) on the degree's basis as scalars."""
+        pairs = [self._weight_pair(w.numerator, w.denominator)
+                 for w in self.weights(*degree)]
+        return [w for w, _ in pairs], [inv for _, inv in pairs]
 
     def row(self, components, *degree):
         """Coefficients {monomial: scalar} on the degree's basis as a
@@ -365,20 +325,24 @@ class HodgeEngine:
         coefficients on the degree's basis."""
         return _form(self.spec, self.basis(*degree), row)
 
+    def terms(self, row, *degree):
+        """The sparse row {position: scalar} on the degree's basis as
+        (monomial, scalar) terms, the form `wedge_row` takes."""
+        basis = self.basis(*degree)
+        return [(basis[j], c) for j, c in row.items()]
+
+    @_once
     def product(self, ma, mb):
         """(monomial, +-1) with ma * mb = +-monomial, or (None, 0) when
-        the product vanishes; memoised per engine."""
-        key = (ma, mb)
-        if key not in self._product:
-            self._product[key] = _merge_monomials(self.spec, ma, mb)
-        return self._product[key]
+        the product vanishes."""
+        return _merge_monomials(self.spec, ma, mb)
 
     def wedge_row(self, a, b, *degree):
         """The wedge of two forms given as (monomial, scalar) terms, as a
         sparse row on the basis of the degree it lands in.  A term outside
         that basis is a ModelError, as in `row`."""
         index = self.index(*degree)
-        table = self._product
+        table = self._memo["product"]
         out = {}
         for ma, ca in a:
             for mb, cb in b:
@@ -406,14 +370,9 @@ class HodgeEngine:
 
     # -- matrices ------------------------------------------------------
 
+    @_once
     def matrix(self, op, *degree):
         """Matrix of op (a SHIFT key) from degree into degree + shift."""
-        key = (op,) + degree
-        if key not in self._matrix:
-            self._matrix[key] = self._assemble(op, degree)
-        return self._matrix[key]
-
-    def _assemble(self, op, degree):
         if op == "ddbar":
             p, q = degree
             return self.matrix("del", p, q + 1).matmul(
@@ -436,7 +395,7 @@ class HodgeEngine:
             return mat
         src = self.basis(*degree)
         index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
-        table = _leibniz_table(self.spec, op)
+        table = self.spec._leibniz_table(op)
         mat = Matrix(len(index), len(src))
         for j, mono in enumerate(src):
             image = _derive_monomial(table, mono)
@@ -451,25 +410,20 @@ class HodgeEngine:
         """del dbar from (p, q) to (p+1, q+1)."""
         return self.matrix("ddbar", p, q)
 
+    @_once
     def adjoint_matrix(self, op, *degree):
         """Adjoint of op mapping the degree down by op's shift."""
-        key = (op,) + degree
-        if key not in self._adjoint:
-            src = _source(degree, op)
-            self._adjoint[key] = (
-                Matrix(0, len(self.basis(*degree))) if src is None
-                else self._weighted_adjoint(self.matrix(op, *src), src,
-                                            degree))
-        return self._adjoint[key]
+        src = _source(degree, op)
+        if src is None:
+            return Matrix(0, len(self.basis(*degree)))
+        return self._weighted_adjoint(self.matrix(op, *src), src, degree)
 
+    @_once
     def min_norm_solver(self, *degree):
         """MinNormSolver of del dbar from degree on Aeppli's closed RREF."""
-        if degree not in self._solvers:
-            self._solvers[degree] = linalg.MinNormSolver(
-                self.matrix("ddbar", *degree),
-                self._rref(("ddbar",), degree).view(),
-                self._scalar_weights(degree)[1])
-        return self._solvers[degree]
+        return linalg.MinNormSolver(self.matrix("ddbar", *degree),
+                                    self._rref(("ddbar",), degree).view(),
+                                    self._scalar_weights(degree)[1])
 
     def ddbar_adjoint_matrix(self, p, q):
         return self.adjoint_matrix("ddbar", p, q)
@@ -495,31 +449,26 @@ class HodgeEngine:
         return [(op, src) for op in _theory(theory).exact
                 for src in (_source(degree, op),) if src is not None]
 
+    @_once
     def _exact_span(self, theory, degree):
         """The theory's exact forms at degree, as the Subspace spanned by
-        the columns of its exact operators into degree; built once per
-        engine."""
-        key = (theory,) + degree
-        if key not in self._exact:
-            self._exact[key] = linalg.Subspace._from_rows(
-                len(self.basis(*degree)),
-                [col for op, src in self._exact_sources(theory, degree)
-                 for col in self.matrix(op, *src).columns()])
-        return self._exact[key]
+        the columns of its exact operators into degree."""
+        return linalg.Subspace._from_rows(
+            len(self.basis(*degree)),
+            [col for op, src in self._exact_sources(theory, degree)
+             for col in self.matrix(op, *src).columns()])
 
+    @_once
     def _rref(self, ops, degree):
         """Echelon of the rows of the operators' matrices at degree,
         stacked: their common kernel is the closed forms of a theory.
-        Built once per engine and shared, so never add to it; copy it."""
-        key = (ops, degree)
-        if key not in self._rrefs:
-            # a stack of several starts from the cached RREF of all but
-            # its last operator, which another theory shares
-            echelon = (self._rref(ops[:-1], degree).copy() if len(ops) > 1
-                       else linalg.Echelon())
-            echelon.extend(self.matrix(ops[-1], *degree).data)
-            self._rrefs[key] = echelon
-        return self._rrefs[key]
+        Shared, so never add to it; copy it."""
+        # a stack of several starts from the RREF of all but its last
+        # operator, which another theory shares
+        echelon = (self._rref(ops[:-1], degree).copy() if len(ops) > 1
+                   else linalg.Echelon())
+        echelon.extend(self.matrix(ops[-1], *degree).data)
+        return echelon
 
     def _validate_squares(self):
         spec = self.spec
@@ -551,7 +500,9 @@ class HodgeEngine:
         out = self.spec.zero()
         for mono, coeff in form.components.items():
             comp, sign = self._complement(mono)
-            c = coeff.conjugate() * self._weight_pair(self.ip.weight(mono))[0]
+            w = self.ip.weight(mono)
+            scalar = self._weight_pair(w.numerator, w.denominator)[0]
+            c = coeff.conjugate() * scalar
             out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
         return out
 
@@ -561,18 +512,12 @@ class HodgeEngine:
         return ((2 * n - degree[0],) if len(degree) == 1
                 else (n - degree[0], n - degree[1]))
 
-    def _star_map(self, degree):
-        """The star column map of the degree, built once per engine."""
-        columns = self._star_maps.get(degree)
-        if columns is None:
-            columns = self._star_maps[degree] = self._star_columns(degree)
-        return columns
-
+    @_once
     def _star_columns(self, degree):
         """(source, c), two lists over the dual degree's basis: star
         sends basis monomial source[i] of the degree to c[i] times
-        monomial i.  Raises unless star maps the degree's basis onto the
-        dual's."""
+        monomial i; shared by every operator.  Raises unless star maps
+        the degree's basis onto the dual's."""
         index = self.index(*self._dual(degree))
         src = self.basis(*degree)
         weights = self._scalar_weights(degree)[0]
@@ -591,22 +536,13 @@ class HodgeEngine:
         raise AssemblyError("subcomplex is not closed under star at %s"
                             % _label(degree))
 
+    @_once
     def _after_star(self, op, degree):
-        """Matrix K with: op(star a) = 0  <=>  K a = 0, built once per
-        engine by _star_block."""
-        key = (op, degree)
-        if key not in self._star_blocks:
-            self._star_blocks[key] = self._star_block(op, degree)
-        return self._star_blocks[key]
-
-    def _star_block(self, op, degree):
-        """The matrix of _after_star, read off op at the dual degree: star
-        sends basis monomial j to c_j times its complement and is
-        conjugate-linear, so column j is c_j times the conjugate of op's
-        column at the complement.  The star column map of the degree is
-        built once per engine and shared by every operator.
-        """
-        source, const = self._star_map(degree)
+        """Matrix K with: op(star a) = 0  <=>  K a = 0, read off op at
+        the dual degree: star sends basis monomial j to c_j times its
+        complement and is conjugate-linear, so column j is c_j times the
+        conjugate of op's column at the complement."""
+        source, const = self._star_columns(degree)
         fwd = self.matrix(op, *self._dual(degree))
         mat = Matrix(fwd.rows, len(source))
         for entries, out in zip(fwd.data, mat.data):
@@ -618,6 +554,7 @@ class HodgeEngine:
 
     # -- harmonic spaces -----------------------------------------------
 
+    @_once
     def harmonic_space(self, theory, *degree):
         """Exact kernel basis of closed + co-exact conditions.
 
@@ -627,26 +564,37 @@ class HodgeEngine:
         weighted adjoint.  Each is added to a copy of the shared RREF of
         the closed conditions.  The two kernels must agree, that is the
         two RREFs must be equal: two systems have the same kernel
-        exactly when their rows span the same space.
+        exactly when their rows span the same space.  When neither route
+        has a nonzero row, both are the shared RREF itself, which is
+        read as it stands.
         """
-        key = (theory,) + degree
-        if key not in self._harmonic:
-            ops = _theory(theory)
-            closed = self._rref(ops.closed, degree)
-            by_star, by_adjoint = closed.copy(), closed.copy()
-            for op in ops.exact:
-                by_star.extend(self._after_star(op, degree).data)
-                by_adjoint.extend(self.adjoint_matrix(op, *degree).data)
-            rref = by_star.view()
-            if rref != by_adjoint.view():
+        ops = _theory(theory)
+        closed = self._rref(ops.closed, degree)
+        by_star, by_adjoint = [], []
+        for op in ops.exact:
+            by_star += self._after_star(op, degree).data
+            by_adjoint += self.adjoint_matrix(op, *degree).data
+        rref = closed.view()
+        if any(by_star) or any(by_adjoint):
+            star, adjoint = closed.copy(), closed.copy()
+            star.extend(by_star)
+            adjoint.extend(by_adjoint)
+            rref = star.view()
+            if rref != adjoint.view():
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-            basis = self.basis(*degree)
-            self._harmonic[key] = HarmonicBasis(
-                theory, degree if len(degree) > 1 else degree[0],
-                linalg._kernel(len(basis), rref), self.spec, basis)
-        return self._harmonic[key]
+        basis = self.basis(*degree)
+        return HarmonicBasis(theory, degree if len(degree) > 1 else degree[0],
+                             linalg._kernel(len(basis), rref), self.spec,
+                             basis)
+
+    @_once
+    def harmonic_terms(self, theory, *degree):
+        """The rows of the harmonic space as (monomial, scalar) terms, for
+        products."""
+        return [self.terms(row, *degree)
+                for row in self.harmonic_space(theory, *degree).space.rows]
 
     def de_rham_harmonic(self, k):
         return self.harmonic_space("de_rham", k)
@@ -664,37 +612,31 @@ class HodgeEngine:
 
     # -- quotient dimensions (the inner-product-free oracle) -----------
 
+    @_once
     def cohomology_dim(self, theory, *degree):
         """dim ker(closed) - rank(exact into the degree).  A single
         exact operator's rank is read off its RREF at its source degree,
         which another theory's closed forms share; Aeppli's two read off
         the exact span that class_of shares."""
-        key = (theory,) + degree
-        if key not in self._dim:
-            sources = self._exact_sources(theory, degree)
-            if len(sources) == 1:
-                (op, src), = sources
-                exact = len(self._rref((op,), src))
-            else:
-                exact = self._exact_span(theory, degree).dim
-            self._dim[key] = (len(self.basis(*degree))
-                              - len(self._rref(_theory(theory).closed, degree))
-                              - exact)
-        return self._dim[key]
+        sources = self._exact_sources(theory, degree)
+        if len(sources) == 1:
+            (op, src), = sources
+            exact = len(self._rref((op,), src))
+        else:
+            exact = self._exact_span(theory, degree).dim
+        return (len(self.basis(*degree))
+                - len(self._rref(_theory(theory).closed, degree)) - exact)
 
     def betti(self, k):
         return self.cohomology_dim("de_rham", k)
 
     # -- classes -------------------------------------------------------
 
+    @_once
     def _projector(self, theory, degree):
-        """Projector onto the harmonic space, built once per engine."""
-        key = (theory,) + degree
-        if key not in self._projection:
-            self._projection[key] = linalg.Projector(
-                self.harmonic_space(theory, *degree).space,
-                self.weights(*degree))
-        return self._projection[key]
+        """Projector onto the harmonic space."""
+        return linalg.Projector(self.harmonic_space(theory, *degree).space,
+                                self.weights(*degree))
 
     def class_of(self, form, theory):
         """Coordinates of the harmonic projection in the harmonic basis,

@@ -26,10 +26,11 @@ more than the unit, and when (i) fails.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 
 from .calculus import SHIFT, AssemblyError
 from .linalg import Echelon, Subspace, kernel_basis
+from .model import _once
 
 # A notion holds when every product of a left basis form with a right
 # basis form lies in the target space.  A space is named by its theory,
@@ -97,16 +98,10 @@ class _Spaces:
 
     def __init__(self, engine):
         self.engine = engine
-        self._spaces = {}
-        self._terms = {}
+        self._memo = defaultdict(dict)
 
+    @_once
     def get(self, name, degree):
-        key = (name, degree)
-        if key not in self._spaces:
-            self._spaces[key] = self._build(name, degree)
-        return self._spaces[key]
-
-    def _build(self, name, degree):
         if name != "abc":
             space = self.engine.harmonic_space(name, *degree).space
             return _Space(space, space.rows, space.rows)
@@ -116,16 +111,15 @@ class _Spaces:
         span = Subspace._from_rows(a.space.ambient, rows)
         return _Space(span, rows, span.rows)
 
+    @_once
     def terms(self, name, degree, which):
         """The rows of get(name, degree).`which` as (monomial, scalar)
-        lists."""
-        key = (name, degree, which)
-        if key not in self._terms:
-            basis = self.engine.basis(*degree)
-            self._terms[key] = [[(basis[j], c) for j, c in row.items()]
-                                for row in getattr(self.get(name, degree),
-                                                   which)]
-        return self._terms[key]
+        lists; a theory's come from the engine, which keeps them for
+        every check."""
+        if name != "abc":
+            return self.engine.harmonic_terms(name, *degree)
+        return [self.engine.terms(row, *degree)
+                for row in getattr(self.get(name, degree), which)]
 
 
 def _grading(name):

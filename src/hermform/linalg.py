@@ -34,15 +34,19 @@ def _sparse(v):
 
 
 class Matrix:
-    """Sparse rows x cols matrix over GaussianRational."""
+    """Sparse rows x cols matrix over GaussianRational.
 
-    __slots__ = ("rows", "cols", "data")
+    A matrix is filled in when it is built and not changed after its
+    first product: `columns`, which products read, is built once."""
+
+    __slots__ = ("rows", "cols", "data", "_columns")
 
     def __init__(self, rows, cols, data=None):
         self.rows = rows
         self.cols = cols
         # data: list of dicts col -> nonzero GaussianRational
         self.data = [dict() for _ in range(rows)] if data is None else data
+        self._columns = None
 
     @classmethod
     def from_rows(cls, rows_list, cols=None):
@@ -81,12 +85,14 @@ class Matrix:
         return out
 
     def columns(self):
-        """The columns as sparse rows {row index: scalar}."""
-        cols = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, a in row.items():
-                cols[j][i] = a
-        return cols
+        """The columns as sparse rows {row index: scalar}, built on the
+        first call and shared: read them, do not change them."""
+        if self._columns is None:
+            self._columns = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self.data):
+                for j, a in row.items():
+                    self._columns[j][i] = a
+        return self._columns
 
     def mul_rows(self, xs):
         """M x for each sparse column vector x {col: scalar} of xs, as

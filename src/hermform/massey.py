@@ -93,16 +93,7 @@ def _potential_terms(engine, f, target, bid):
         if row is None or engine.matrix("ddbar", *src).mul_rows(
                 [row])[0] != target:
             raise PotentialError("supplied potential fails its equation")
-    basis = engine.basis(*src)
-    return [(basis[k], x) for k, x in row.items()]
-
-
-def _aeppli_terms(engine, p, q):
-    """The Aeppli-harmonic basis at (p, q) as (monomial, scalar) terms,
-    read off the sparse rows, so no Form is built."""
-    basis = engine.basis(p, q)
-    return [[(basis[j], c) for j, c in row.items()]
-            for row in engine.harmonic_space("aeppli", p, q).space.rows]
+    return engine.terms(row, *src)
 
 
 def triple_abc_massey(engine, alpha, beta, gamma,
@@ -113,14 +104,17 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     defining equations are still verified); the nonzero verdict never
     depends on the choice.
     """
+    bids = []
     for name, form in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if form.is_zero():
             raise ModelError("%s is zero, which has no bidegree" % name)
-        if not engine.is_harmonic("bott_chern", form):
+        bid = form.bidegree()
+        if bid is None or not engine.harmonic_space(
+                "bott_chern", *bid).space.contains_row(
+                    engine.row(form.components, *bid)):
             raise NotClosedError("%s is not Bott-Chern harmonic" % name)
-    p, q = alpha.bidegree()
-    r, s = beta.bidegree()
-    u, v = gamma.bidegree()
+        bids.append(bid)
+    (p, q), (r, s), (u, v) = bids
     # a = (-1)^(p+q) alpha and c = (-1)^(r+s) gamma carry the signs of
     # both targets and of the representative
     a, b, c = (_signed(alpha, p, q), beta.components.items(),
@@ -133,9 +127,11 @@ def triple_abc_massey(engine, alpha, beta, gamma,
                       engine.wedge_row(f_ab, c, *bid))
     cls, projection = engine.class_row("aeppli", rep, *bid)
     products = ([engine.wedge_row(alpha.components.items(), xi, *bid)
-                 for xi in _aeppli_terms(engine, r + u - 1, s + v - 1)]
+                 for xi in engine.harmonic_terms("aeppli", r + u - 1,
+                                                 s + v - 1)]
                 + [engine.wedge_row(zeta, gamma.components.items(), *bid)
-                   for zeta in _aeppli_terms(engine, p + r - 1, q + s - 1)])
+                   for zeta in engine.harmonic_terms("aeppli", p + r - 1,
+                                                     q + s - 1)])
     indet = Subspace._from_rows(len(cls), [
         linalg._sparse(engine.class_row("aeppli", row, *bid)[0])
         for row in products if row])

@@ -9,7 +9,9 @@ that canonical order, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import product
 from math import prod
 
@@ -25,6 +27,26 @@ __all__ = [
 # the monomial table lists every one, so a larger model is refused before
 # it is enumerated.
 MAX_MONOMIALS = 2 ** 16
+
+
+_MISSING = object()
+
+
+def _once(method):
+    """Build method(self, *key) once per object and key, kept as
+    self._memo[method name][key] in the object's own defaultdict(dict),
+    so the value lives as long as the object.  Keys are ints, strings
+    and tuples of them.  A miss raises nothing: many are cheap builds."""
+    name = method.__name__
+
+    @wraps(method)
+    def once(self, *key):
+        memo = self._memo[name]
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = method(self, *key)
+        return value
+    return once
 
 
 class ModelError(ValueError):
@@ -69,9 +91,7 @@ class ModelSpec:
         if len(self.index) != len(self.generators):
             raise ModelError("duplicate generator names")
         self.parameters = dict(parameters or {})
-        self._basis_cache = {}
-        # the Leibniz table of each differential, built by calculus
-        self._leibniz = {}
+        self._memo = defaultdict(dict)
         self._validate_generators()
         self.differentials = {"del": self._coerce_images(del_images or {}),
                               "dbar": self._coerce_images(dbar_images or {})}
@@ -159,34 +179,48 @@ class ModelSpec:
                 q += e * g.bidegree[1]
         return (p, q)
 
+    @_once
     def basis(self, p, q):
         """All truncation-respecting monomials of bidegree (p, q), in
         lexicographic order of exponent vectors."""
-        key = (p, q)
-        if key not in self._basis_cache:
-            table = self._all_monomials()
-            self._basis_cache[key] = table.get(key, [])
-        return self._basis_cache[key]
+        return self._all_monomials().get((p, q), [])
 
+    @_once
     def _all_monomials(self):
-        if not hasattr(self, "_mono_table"):
-            count = prod(g.truncation for g in self.generators)
-            if count > MAX_MONOMIALS:
-                raise ModelError(
-                    "model has %d monomials, more than the limit of %d"
-                    % (count, MAX_MONOMIALS))
-            table = {}
-            ranges = [range(g.truncation) for g in self.generators]
-            for exps in product(*ranges):
-                table.setdefault(self.monomial_bidegree(exps), []).append(exps)
-            for monos in table.values():
-                monos.sort()
-            self._mono_table = table
-        return self._mono_table
+        count = prod(g.truncation for g in self.generators)
+        if count > MAX_MONOMIALS:
+            raise ModelError(
+                "model has %d monomials, more than the limit of %d"
+                % (count, MAX_MONOMIALS))
+        table = {}
+        ranges = [range(g.truncation) for g in self.generators]
+        for exps in product(*ranges):
+            table.setdefault(self.monomial_bidegree(exps), []).append(exps)
+        for monos in table.values():
+            monos.sort()
+        return table
 
     def bidegrees(self):
         """All (p, q) with a nonempty monomial basis, sorted."""
         return sorted(self._all_monomials())
+
+    @_once
+    def _leibniz_table(self, op):
+        """(odd, truncation, terms) for the differential op: per generator
+        position the generator's odd parity (0 or 1) and truncation, and in
+        `terms` None where the generator has no image, else one (support,
+        c, -c) per term c*t of its image, support [(position k, exponent
+        t_k, odd_k)] over the positions of t.  It holds ints and scalars,
+        no Form; calculus derives monomials from it."""
+        images = self.differentials[op]
+        odd = tuple(int(g.odd) for g in self.generators)
+        terms = []
+        for g in self.generators:
+            image = images.get(g.name)
+            terms.append(None if image is None else tuple(
+                (tuple((k, t, odd[k]) for k, t in enumerate(mt) if t), c, -c)
+                for mt, c in image.items()))
+        return odd, tuple(g.truncation for g in self.generators), tuple(terms)
 
     # -- form constructors --------------------------------------------
 

@@ -1,5 +1,6 @@
 """Differentials, star, harmonic spaces, and the quotient oracle."""
 
+import functools
 import io
 import random
 import weakref
@@ -17,7 +18,8 @@ from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
 from hermform.cli import run
 from hermform.dsl import parse
 from hermform.linalg import Matrix, inner, solve
-from hermform.model import Form, GeneratorSpec, ModelError, ModelSpec
+from hermform.model import (Form, GeneratorSpec, ModelError, ModelSpec,
+                            _once)
 from hermform.scalars import GaussianRational, ONE, ZERO
 
 SAMPLE_IDS = ("torus:2", "iwasawa", "ce:u=1,v=1", "nakamura:IV.3")
@@ -511,30 +513,33 @@ def test_weighted_adjoint_identity():
     assert set(checked) == {"del", "dbar", "ddbar", "d"}
 
 
+def _count_builds(monkeypatch, name, builds):
+    """Count in builds, by arguments, each run of the body of the
+    memoised HodgeEngine method `name`, memoised again as it is."""
+    body = getattr(HodgeEngine, name).__wrapped__
+
+    @functools.wraps(body)
+    def counted(self, *args):
+        builds[args] += 1
+        return body(self, *args)
+    monkeypatch.setattr(HodgeEngine, name, _once(counted))
+
+
 def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
     """A cold engine builds each star block and each adjoint block once
     per (op, degree), though several theories read the same block, and
     the star column map once per degree, though several ops read it."""
     star_builds, adjoint_builds, column_builds = (Counter(), Counter(),
                                                   Counter())
-    star_block = HodgeEngine._star_block
-    star_columns = HodgeEngine._star_columns
     weighted_adjoint = HodgeEngine._weighted_adjoint
 
-    def count_star(self, op, degree):
-        star_builds[op, degree] += 1
-        return star_block(self, op, degree)
-
-    def count_columns(self, degree):
-        column_builds[degree] += 1
-        return star_columns(self, degree)
-
     def count_adjoint(self, fwd, src, dst):
-        op = next(key[0] for key, m in self._matrix.items() if m is fwd)
+        op = next(key[0] for key, m in self._memo["matrix"].items()
+                  if m is fwd)
         adjoint_builds[op, dst] += 1
         return weighted_adjoint(self, fwd, src, dst)
-    monkeypatch.setattr(HodgeEngine, "_star_block", count_star)
-    monkeypatch.setattr(HodgeEngine, "_star_columns", count_columns)
+    _count_builds(monkeypatch, "_after_star", star_builds)
+    _count_builds(monkeypatch, "_star_columns", column_builds)
     monkeypatch.setattr(HodgeEngine, "_weighted_adjoint", count_adjoint)
     engine = HodgeEngine(load("nakamura:IV.3"))
     engine.cohomology_table()
@@ -545,8 +550,36 @@ def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
     assert {op for op, _ in adjoint_builds} == set(SHIFT)
     assert set(star_builds.values()) == {1}
     assert set(adjoint_builds.values()) == {1}
-    assert set(column_builds) == {degree for _, degree in star_builds}
+    assert set(column_builds) == {(degree,) for _, degree in star_builds}
     assert set(column_builds.values()) == {1}
+
+
+def test_memoised_methods_give_back_what_they_built():
+    """On a cold engine and model, a table, a Massey product and two
+    formality sweeps call every method decorated with _once, of the
+    engine, its model and formality's spaces; a second call of each,
+    with every key it was called with, returns the object that the
+    first call built."""
+    from hermform import formality
+    from hermform.massey import triple_abc_massey
+
+    spec = load("iwasawa")
+    engine = HodgeEngine(spec, generator_metric(
+        spec, [Fraction(k, 2) for k in range(1, 7)]))
+    engine.cohomology_table()
+    ab = spec.form_from_names(("p1", "p2"))
+    bb = spec.form_from_names(("q1", "q2"))
+    triple_abc_massey(engine, ab, bb, bb)
+    spaces = formality._Spaces(engine)
+    for notion in ("geom_abc", "geom_aeppli"):
+        formality._first_violation(spaces, formality.SWEEPS[notion])
+    for obj in (spec, engine, spaces):
+        decorated = {name for name, attr in vars(type(obj)).items()
+                     if hasattr(attr, "__wrapped__")}
+        assert set(obj._memo) == decorated, type(obj)
+        for name, built in obj._memo.items():
+            for key, value in list(built.items()):
+                assert getattr(obj, name)(*key) is value, (name, key)
 
 
 def test_tables_and_harmonic_spaces_pay_per_nonzero(monkeypatch):

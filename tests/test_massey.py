@@ -161,7 +161,7 @@ def test_potentials_share_the_aeppli_closed_rref(monkeypatch):
 
     def traced_rref(ops, degree):
         key = (ops, degree)
-        reads.append((key, key in engine._rrefs, rref(ops, degree)))
+        reads.append((key, key in engine._memo["_rref"], rref(ops, degree)))
         return reads[-1][2]
     monkeypatch.setattr(linalg, "Projector", CountedProjector)
     monkeypatch.setattr(linalg, "min_norm_solve", no_min_norm_solve)
@@ -170,17 +170,17 @@ def test_potentials_share_the_aeppli_closed_rref(monkeypatch):
 
     verdict = triple_abc_massey(engine, alpha, beta, gamma)
     assert verdict.nonzero
-    assert list(engine._projection) == [("aeppli",) + verdict.bidegree]
+    assert list(engine._memo["_projector"]) == [("aeppli", verdict.bidegree)]
     assert len(projectors) == 1
     targets = _signed_targets(alpha, beta, gamma)
     sources = [(p - 1, q - 1) for _, (p, q) in targets if p and q]
-    assert set(engine._solvers) == set(sources)
+    assert set(engine._memo["min_norm_solver"]) == set(sources)
     for src in sources:
         key = (("ddbar",), src)
-        built = engine._rrefs[key]
+        built = engine._memo["_rref"][key]
         assert [hit for k, hit, _ in reads if k == key].count(False) == 1
         del reads[:]
-        del engine._harmonic[("aeppli",) + src]
+        del engine._memo["harmonic_space"][("aeppli",) + src]
         engine.harmonic_space("aeppli", *src)
         assert [(k, hit) for k, hit, _ in reads] == [(key, True)]
         assert reads[0][2] is built
