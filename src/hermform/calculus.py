@@ -153,15 +153,23 @@ class InnerProduct:
 
     def __init__(self, weights=None):
         self.weights = {}
+        self._ratios = {}
         for mono, w in (weights or {}).items():
             w = Fraction(w)
             if w <= 0:
                 raise ModelError("inner-product weight must be positive")
-            self.weights[tuple(mono)] = w
+            mono = tuple(mono)
+            self.weights[mono] = w
+            self._ratios[mono] = w.numerator, w.denominator
 
     def weight(self, mono):
         """Weight of a basis monomial (an exponent tuple)."""
         return self.weights.get(mono, _UNIT_WEIGHT)
+
+    def ratio(self, mono):
+        """(numerator, denominator) of the weight in lowest terms, read
+        once when the metric is built."""
+        return self._ratios.get(mono, (1, 1))
 
 
 def _form(spec, basis, row):
@@ -307,8 +315,8 @@ class HodgeEngine:
     @_once
     def _scalar_weights(self, degree):
         """(w, 1/w) on the degree's basis as scalars."""
-        pairs = [self._weight_pair(w.numerator, w.denominator)
-                 for w in self.weights(*degree)]
+        ratio = self.ip.ratio
+        pairs = [self._weight_pair(*ratio(m)) for m in self.basis(*degree)]
         return [w for w, _ in pairs], [inv for _, inv in pairs]
 
     def row(self, components, *degree):
@@ -354,7 +362,11 @@ class HodgeEngine:
                 if j is None:
                     raise _outside(degree)
                 c = ca * cb
-                v = out.get(j, ZERO) + (c if sign > 0 else -c)
+                old = out.get(j)
+                if old is None:
+                    v = c if sign > 0 else -c
+                else:
+                    v = old + c if sign > 0 else old - c
                 if v:
                     out[j] = v
                 else:
@@ -500,8 +512,7 @@ class HodgeEngine:
         out = self.spec.zero()
         for mono, coeff in form.components.items():
             comp, sign = self._complement(mono)
-            w = self.ip.weight(mono)
-            scalar = self._weight_pair(w.numerator, w.denominator)[0]
+            scalar = self._weight_pair(*self.ip.ratio(mono))[0]
             c = coeff.conjugate() * scalar
             out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
         return out

@@ -9,6 +9,14 @@ form of a span as rows are added.  Ranks, kernels, solutions, the basis
 a `Subspace` keeps and the inverses that a `Projector` (its Gram matrix)
 and a `MinNormSolver` (rank sized) factor once are all read off it.
 
+Most rows reaching an elimination hold about one entry once reduced, so
+the sparse kernels keep two rules.  A unit row costs dictionary
+operations only: a row that reduces to one entry is kept as {c: 1}, and
+a unit row clears its column from a residual or from the kept rows by
+deleting it.  A column not yet in a row costs no addition: the product
+is stored as it is, unless it is zero (a row may hold an explicit zero,
+as rows built with a zero weight do).
+
 Hermitian inner products are diagonal with positive rational weights and
 conjugate-linear in the second argument throughout.
 """
@@ -115,25 +123,26 @@ def _residual(row, by_pivot):
     """What is left of a sparse row after clearing the pivot columns of
     by_pivot, a map pivot column -> row with 1 there and 0 at every other
     pivot column.  One pass over the row's own entries suffices: clearing
-    one pivot column leaves the others as they were."""
+    one pivot column leaves the others as they were.  A unit pivot row
+    {c: 1} costs no arithmetic: column c is deleted."""
     out = dict(row)
     for c, a in row.items():
         piv = by_pivot.get(c)
         if piv is not None:
-            for j, b in piv.items():
-                v = out.get(j, ZERO) - a * b
-                if v:
-                    out[j] = v
-                else:
-                    out.pop(j, None)
+            if len(piv) == 1:
+                del out[c]
+            else:
+                axpy(out, -a, piv)
     return out
 
 
 def axpy(acc, c, row):
-    """acc += c * row for sparse rows, in place; entries that cancel are
-    dropped.  Returns acc."""
+    """acc += c * row for sparse rows, in place; entries that cancel, and
+    zero products (a row may hold an explicit zero), are dropped.
+    Returns acc."""
     for j, a in row.items():
-        v = acc.get(j, ZERO) + c * a
+        old = acc.get(j)
+        v = c * a if old is None else old + c * a
         if v:
             acc[j] = v
         else:
@@ -154,7 +163,10 @@ class Echelon:
     grown one row at a time: each kept row has 1 at its pivot, its first
     column, and 0 at every other pivot column.  That form of a row space
     is unique, so it does not depend on the order of the rows.  `add`
-    never changes the row it is given.
+    never changes the row it is given.  A row that reduces to a single
+    entry is kept as {c: ONE}, with no division, and clearing column c
+    from the kept rows then only deletes it.  The rows given hold no
+    zero entry.
 
     `_touched` holds every non-pivot column at which a kept row may be
     nonzero (it may hold more).  A new pivot column outside it is 0 in
@@ -183,7 +195,9 @@ class Echelon:
         if not row:
             return False
         c = min(row)
-        if row[c] != 1:
+        if len(row) == 1:
+            row = {c: ONE}
+        elif row[c] != 1:
             inv = ONE / row[c]
             row = {j: a * inv for j, a in row.items()}
         touched = self._touched
@@ -191,12 +205,10 @@ class Echelon:
             for other in self._by_pivot.values():
                 a = other.get(c)
                 if a is not None:
-                    for j, b in row.items():
-                        v = other.get(j, ZERO) - a * b
-                        if v:
-                            other[j] = v
-                        else:
-                            other.pop(j, None)
+                    if len(row) == 1:
+                        del other[c]
+                    else:
+                        axpy(other, -a, row)
         # the row holds no other pivot column, and no kept row holds c now
         touched.update(row)
         touched.discard(c)

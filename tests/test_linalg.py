@@ -1,6 +1,7 @@
 """Exact linear algebra: kernels, solving, subspaces, projections."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -209,7 +210,9 @@ def _q_i(rng):
 
 def _sparse_rows(rng, n):
     """Seeded sparse rows over n columns: random ones, empty ones,
-    multiples of earlier ones, and chains {a, b}, {b, c} with a < b < c.
+    multiples of earlier ones, chains {a, b}, {b, c} with a < b < c,
+    single entries, and multiples of earlier rows plus one entry
+    elsewhere, which reduce to that entry once the earlier row is in.
     Added in that order a chain's second row takes pivot b, a column its
     first row holds, so the first row must be back-substituted."""
     rows = []
@@ -220,10 +223,19 @@ def _sparse_rows(rng, n):
         elif kind < 0.2 and rows:
             f = _q_i(rng)
             rows.append({j: f * a for j, a in rng.choice(rows).items()})
-        elif kind < 0.5 and n >= 3:
+        elif kind < 0.4 and n >= 3:
             a, b, c = sorted(rng.sample(range(n), 3))
             rows.append({a: _q_i(rng), b: _q_i(rng)})
             rows.append({b: _q_i(rng), c: _q_i(rng)})
+        elif kind < 0.55:
+            rows.append({rng.randrange(n): _q_i(rng)})
+        elif kind < 0.7 and rows:
+            f, base = _q_i(rng), rng.choice(rows)
+            row = {j: f * a for j, a in base.items()}
+            rest = [j for j in range(n) if j not in base]
+            if rest:
+                row[rng.choice(rest)] = _q_i(rng)
+            rows.append(row)
         else:
             rows.append({j: _q_i(rng) for j in range(n)
                          if rng.random() < 0.3})
@@ -233,9 +245,10 @@ def _sparse_rows(rng, n):
 def test_echelon_matches_dense_gauss_jordan():
     """Every view of a sparse Echelon, grown in random orders and split
     across copies, is the dense reference RREF of the rows added so far,
-    and its touched set covers every non-pivot entry of its rows."""
+    and its touched set covers every non-pivot entry of its rows.  Many
+    rows reduce to a single entry, which is kept as a unit row."""
     rng = random.Random(83)
-    rewrites = 0
+    rewrites = units = 0
     for _ in range(200):
         n = rng.randint(1, 9)
         rows = _sparse_rows(rng, n)
@@ -249,6 +262,7 @@ def test_echelon_matches_dense_gauss_jordan():
         for echelon, rest in branches:
             for row in rest:
                 before = {c: dict(r) for c, r in echelon.view().items()}
+                units += len(linalg._residual(row, echelon._by_pivot)) == 1
                 echelon.add(row)
                 rewrites += any(echelon.view()[c] != r
                                 for c, r in before.items())
@@ -256,6 +270,70 @@ def test_echelon_matches_dense_gauss_jordan():
                     assert set(r) - {c} <= echelon._touched
             assert echelon.view() == _gauss_jordan(rows, n)
     assert rewrites > 100
+    assert units > 100
+
+
+ARITHMETIC = ("__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+              "__add__", "__radd__", "__sub__", "__rsub__", "__neg__")
+
+
+@pytest.fixture
+def arithmetic(monkeypatch):
+    """Counts every arithmetic call on GaussianRational from now on."""
+    calls = Counter()
+
+    def counted(name):
+        method = getattr(GaussianRational, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+    for name in ARITHMETIC:
+        monkeypatch.setattr(GaussianRational, name, counted(name))
+    return calls
+
+
+def test_unit_rows_cost_no_arithmetic(arithmetic):
+    """A row that is one entry after reduction is kept as {c: 1}, it
+    clears column c from the kept rows, and a unit pivot clears its
+    column from a residual, all with no scalar arithmetic."""
+    i, two = GaussianRational(0, 1), GaussianRational(2)
+    # a single entry whose value is not 1, at an untouched column, and
+    # a row that reduces to a single entry against a unit pivot
+    echelon = linalg.Echelon([{0: two, 3: i, 5: ONE}, {1: i}])
+    rows = [{4: GaussianRational(3, -1)}, {1: two, 6: i}]
+    arithmetic.clear()
+    for row in rows:
+        assert echelon.add(row)
+    assert not arithmetic
+    assert echelon.view() == {0: {0: ONE, 3: i / 2, 5: ONE / 2},
+                              1: {1: ONE}, 4: {4: ONE}, 6: {6: ONE}}
+    # membership against unit pivots only
+    space = Subspace._from_rows(6, [{0: two}, {2: i}, {4: ONE}])
+    arithmetic.clear()
+    assert space.contains_row({0: two, 2: i, 4: GaussianRational(1, 1)})
+    assert not space.contains_row({0: two, 1: ONE})
+    assert not arithmetic
+    # a unit row back-substituted into kept rows that hold its column
+    echelon = linalg.Echelon([{0: ONE, 3: two}, {1: ONE, 3: i, 4: two}])
+    arithmetic.clear()
+    assert echelon.add({3: GaussianRational(7)})
+    assert not arithmetic
+    assert echelon.view() == {0: {0: ONE}, 1: {1: ONE, 4: two},
+                              3: {3: ONE}}
+
+
+def test_zero_products_are_not_stored():
+    """A zero product is not stored as a new entry: rows built with a
+    zero weight hold explicit zeros, and so may a row being reduced."""
+    three = GaussianRational(3)
+    assert linalg.axpy({}, ONE, {0: ZERO, 1: three}) == {1: three}
+    assert linalg.axpy({0: ONE}, ZERO, {0: three, 2: three}) == {0: ONE}
+    # an explicit zero at a pivot column adds nothing at that pivot
+    # row's other columns
+    by_pivot = {0: {0: ONE, 2: three}}
+    assert linalg._residual({0: ZERO, 1: three}, by_pivot) == {1: three}
 
 
 def test_kernel_matches_reducing_every_free_row():
