@@ -7,6 +7,13 @@ cohomology dimension: kernels of the harmonic systems for a given inner
 product (themselves built two ways, star-based and adjoint-based, which
 must agree), and quotient dimensions ker/im computed without any inner
 product.  Tests compare the two everywhere.
+
+Each artifact is built once per engine.  d = del + dbar maps each
+bidegree into two others and star maps each onto one, so d's matrix,
+adjoint and star block at a total degree are the memoised del and dbar
+blocks placed at their offsets, with no entry computed again.  A
+harmonic space keeps its cross-checked RREF, which gives its dimension;
+its kernel is row-reduced only when read.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
 # Degree shift of each operator; d acts on total degrees.
 SHIFT = {"del": (1, 0), "dbar": (0, 1), "ddbar": (1, 1), "d": (1,)}
+
+# d = del + dbar: each part with its shift
+D_PARTS = tuple((op, SHIFT[op]) for op in ("del", "dbar"))
 
 Theory = namedtuple("Theory", ["closed", "exact"])
 
@@ -181,22 +191,29 @@ def _form(spec, basis, row):
 class HarmonicBasis:
     """Basis of a harmonic space for one theory and degree.
 
-    `space` is the kernel as a Subspace of the coordinates on `basis`,
-    the degree's monomials of `spec`; the forms are its reduced row
+    Given by `rref`, the cross-checked RREF {pivot: row} of the harmonic
+    equations on `basis`, the degree's monomials of `spec`, so `dim` is
+    the number of columns less the rank.  `space`, the kernel as a
+    Subspace of the coordinates on `basis`, is row-reduced on first
+    read; the forms, built on first read too, are its reduced row
     echelon basis, so coordinates in `space` are coordinates on `forms`.
-    The forms are built on first read, and they hold the model only, not
-    the engine.
+    A basis holds the model only, not the engine.
     """
 
-    __slots__ = ("theory", "bidegree", "space", "_spec", "_basis", "_memo")
+    __slots__ = ("theory", "bidegree", "_rref", "_spec", "_basis", "_memo")
 
-    def __init__(self, theory, bidegree, space, spec, basis):
+    def __init__(self, theory, bidegree, rref, spec, basis):
         self.theory = theory
         self.bidegree = bidegree
-        self.space = space
+        self._rref = rref
         self._spec = spec
         self._basis = basis
         self._memo = defaultdict(dict)
+
+    @property
+    @_once
+    def space(self):
+        return linalg._kernel(len(self._basis), self._rref)
 
     @property
     @_once
@@ -205,7 +222,7 @@ class HarmonicBasis:
 
     @property
     def dim(self):
-        return self.space.dim
+        return len(self._basis) - len(self._rref)
 
     def __iter__(self):
         return iter(self.forms)
@@ -262,6 +279,14 @@ class HodgeEngine:
         self._memo = defaultdict(dict)
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
+        # (position j, r(j)) for each odd generator: r(j) counts the odd
+        # factors of the volume monomial before j; star signs read them
+        odd_before = 0
+        self._odd_prefix = []
+        for j, (g, e) in enumerate(zip(spec.generators, spec.volume_monomial)):
+            if g.odd:
+                self._odd_prefix.append((j, odd_before))
+                odd_before += e
         self._validate_squares()
 
     # -- bases ---------------------------------------------------------
@@ -271,8 +296,8 @@ class HodgeEngine:
         """Monomials of the degree kept by the filter; a total degree
         lists its bidegrees (p, k - p) in increasing p."""
         if len(degree) == 1:
-            return [m for (p, q), _ in self._blocks(degree[0])
-                    for m in self.basis(p, q)]
+            return [m for bid in self._offsets(degree[0])
+                    for m in self.basis(*bid)]
         monos = self.spec.basis(*degree)
         if self.filter is not None:
             monos = [m for m in monos if self.filter(m)]
@@ -292,11 +317,13 @@ class HodgeEngine:
             candidates = self.spec.bidegrees()
         return [d for d in candidates if self.basis(*d)]
 
-    def _blocks(self, k):
-        """(bidegree, offset) of each bidegree inside total degree k."""
-        out, offset = [], 0
+    @_once
+    def _offsets(self, k):
+        """{bidegree: offset} of each bidegree (p, k - p) inside total
+        degree k, in increasing p."""
+        out, offset = {}, 0
         for p in range(k + 1):
-            out.append(((p, k - p), offset))
+            out[p, k - p] = offset
             offset += len(self.basis(p, k - p))
         return out
 
@@ -304,20 +331,23 @@ class HodgeEngine:
         return [self.ip.weight(m) for m in self.basis(*degree)]
 
     @_once
-    def _weight_pair(self, numerator, denominator):
-        """(w, 1/w) as scalars for the weight w = numerator/denominator,
-        in lowest terms; the unit weight is (ONE, ONE)."""
+    def _weight_scalars(self, numerator, denominator):
+        """(w, 1/w, -w) as scalars for the weight w =
+        numerator/denominator, in lowest terms; the unit weight gives ONE
+        twice."""
         if numerator == denominator:
-            return ONE, ONE
+            return ONE, ONE, -ONE
         scalar = GaussianRational(Fraction(numerator, denominator))
-        return scalar, ONE / scalar
+        return scalar, ONE / scalar, -scalar
 
     @_once
     def _scalar_weights(self, degree):
-        """(w, 1/w) on the degree's basis as scalars."""
+        """(w, 1/w, -w), three lists over the degree's basis, as
+        scalars."""
         ratio = self.ip.ratio
-        pairs = [self._weight_pair(*ratio(m)) for m in self.basis(*degree)]
-        return [w for w, _ in pairs], [inv for _, inv in pairs]
+        scalars = [self._weight_scalars(*ratio(m))
+                   for m in self.basis(*degree)]
+        return tuple([t[k] for t in scalars] for k in range(3))
 
     def row(self, components, *degree):
         """Coefficients {monomial: scalar} on the degree's basis as a
@@ -390,21 +420,10 @@ class HodgeEngine:
             return self.matrix("del", p, q + 1).matmul(
                 self.matrix("dbar", p, q))
         if op == "d":
-            # del and dbar land in different bidegrees, so d is their
-            # blocks placed side by side
             k = degree[0]
-            mat = Matrix(len(self.basis(k + 1)), len(self.basis(k)))
-            rows_at = dict(self._blocks(k + 1))
-            for (p, q), col in self._blocks(k):
-                for which, target in (("del", (p + 1, q)),
-                                      ("dbar", (p, q + 1))):
-                    row = rows_at[target]
-                    block = self.matrix(which, p, q)
-                    for i, entries in enumerate(block.data):
-                        out = mat.data[row + i]
-                        for j, a in entries.items():
-                            out[col + j] = a
-            return mat
+            return self._placed(k + 1, k, [
+                ((p + dp, q + dq), (p, q), self.matrix(which, p, q))
+                for p, q in self._offsets(k) for which, (dp, dq) in D_PARTS])
         src = self.basis(*degree)
         index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
         table = self.spec._leibniz_table(op)
@@ -422,12 +441,34 @@ class HodgeEngine:
         """del dbar from (p, q) to (p+1, q+1)."""
         return self.matrix("ddbar", p, q)
 
+    def _placed(self, rows, cols, blocks):
+        """The matrix from total degree cols to total degree rows with
+        the bidegree matrices of blocks, each (row bidegree, column
+        bidegree, matrix), placed at their offsets and nothing computed:
+        the total-degree artifacts of d are those of del and dbar placed
+        side by side, as del and dbar land in different bidegrees."""
+        mat = Matrix(len(self.basis(rows)), len(self.basis(cols)))
+        row_at, col_at = self._offsets(rows), self._offsets(cols)
+        for target, source, block in blocks:
+            row, col = row_at[target], col_at[source]
+            for i, entries in enumerate(block.data):
+                out = mat.data[row + i]
+                for j, a in entries.items():
+                    out[col + j] = a
+        return mat
+
     @_once
     def adjoint_matrix(self, op, *degree):
         """Adjoint of op mapping the degree down by op's shift."""
         src = _source(degree, op)
         if src is None:
             return Matrix(0, len(self.basis(*degree)))
+        if op == "d":
+            return self._placed(src[0], degree[0], [
+                ((p - dp, q - dq), (p, q), self.adjoint_matrix(which, p, q))
+                for p, q in self._offsets(degree[0]) if self.basis(p, q)
+                for which, (dp, dq) in D_PARTS
+                if p >= dp and q >= dq and self.basis(p - dp, q - dq)])
         return self._weighted_adjoint(self.matrix(op, *src), src, degree)
 
     @_once
@@ -501,9 +542,18 @@ class HodgeEngine:
     # -- star ----------------------------------------------------------
 
     def _complement(self, mono):
-        """(complement, sign): mono ^ complement = sign vol."""
+        """(complement, sign): mono ^ complement = sign vol, for mono
+        dividing vol.  Each odd factor j of mono passes the odd factors
+        of the complement before it: the r(j) odd factors of vol before
+        j less those of mono, which sum to k(k-1)/2 over mono's k odd
+        factors.  So the sign is (-1)^(sum of r(j) - k(k-1)/2)."""
         comp = tuple(map(sub, self.spec.volume_monomial, mono))
-        return comp, _merge_monomials(self.spec, mono, comp)[1]
+        passes = k = 0
+        for j, r in self._odd_prefix:
+            if mono[j]:
+                passes += r
+                k += 1
+        return comp, -1 if (passes - k * (k - 1) // 2) % 2 else 1
 
     def star(self, form):
         """Conjugate-linear Hodge star for the diagonal inner product:
@@ -512,7 +562,7 @@ class HodgeEngine:
         out = self.spec.zero()
         for mono, coeff in form.components.items():
             comp, sign = self._complement(mono)
-            scalar = self._weight_pair(*self.ip.ratio(mono))[0]
+            scalar = self._weight_scalars(*self.ip.ratio(mono))[0]
             c = coeff.conjugate() * scalar
             out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
         return out
@@ -525,21 +575,20 @@ class HodgeEngine:
 
     @_once
     def _star_columns(self, degree):
-        """(source, c), two lists over the dual degree's basis: star
-        sends basis monomial source[i] of the degree to c[i] times
+        """(source, c), two lists over the dual bidegree's basis: star
+        sends basis monomial source[i] of the bidegree to c[i] times
         monomial i; shared by every operator.  Raises unless star maps
-        the degree's basis onto the dual's."""
+        the bidegree's basis onto the dual's."""
         index = self.index(*self._dual(degree))
         src = self.basis(*degree)
-        weights = self._scalar_weights(degree)[0]
+        weights, _, negated = self._scalar_weights(degree)
         source, const = [None] * len(index), [None] * len(index)
         for j, mono in enumerate(src):
             comp, sign = self._complement(mono)
             i = index.get(comp)
             if i is None:
                 break
-            w = weights[j]
-            source[i], const[i] = j, w if sign > 0 else -w
+            source[i], const[i] = j, weights[j] if sign > 0 else negated[j]
         else:
             # the complement is one to one, so onto when the sizes agree
             if len(src) == len(index):
@@ -552,7 +601,15 @@ class HodgeEngine:
         """Matrix K with: op(star a) = 0  <=>  K a = 0, read off op at
         the dual degree: star sends basis monomial j to c_j times its
         complement and is conjugate-linear, so column j is c_j times the
-        conjugate of op's column at the complement."""
+        conjugate of op's column at the complement.  Star keeps
+        bidegrees apart, so d's is placed from those of del and dbar."""
+        if op == "d":
+            n = self.spec.n
+            return self._placed(2 * n - degree[0] + 1, degree[0], [
+                ((n - p + dp, n - q + dq), (p, q),
+                 self._after_star(which, (p, q)))
+                for p, q in self._offsets(degree[0]) if p <= n and q <= n
+                for which, (dp, dq) in D_PARTS])
         source, const = self._star_columns(degree)
         fwd = self.matrix(op, *self._dual(degree))
         mat = Matrix(fwd.rows, len(source))
@@ -595,10 +652,8 @@ class HodgeEngine:
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-        basis = self.basis(*degree)
         return HarmonicBasis(theory, degree if len(degree) > 1 else degree[0],
-                             linalg._kernel(len(basis), rref), self.spec,
-                             basis)
+                             rref, self.spec, self.basis(*degree))
 
     @_once
     def harmonic_terms(self, theory, *degree):

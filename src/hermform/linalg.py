@@ -416,22 +416,22 @@ class Projector:
 
     def coefficients(self, row):
         """Coefficients on space.rows of the projection of the sparse row
-        {column: scalar}."""
+        {column: scalar}; each dot product starts from its first term."""
         rhs = []
         for dual in self._dual:
-            acc = ZERO
+            acc = None
             for j, a in row.items():
                 d = dual.get(j)
                 if d is not None:
-                    acc = acc + a * d
-            rhs.append(acc)
+                    acc = a * d if acc is None else acc + a * d
+            rhs.append(ZERO if acc is None else acc)
         coeffs = []
         for inv in self._gram_inv:
-            acc = ZERO
+            acc = None
             for j, a in inv.items():
                 if rhs[j]:
-                    acc = acc + a * rhs[j]
-            coeffs.append(acc)
+                    acc = a * rhs[j] if acc is None else acc + a * rhs[j]
+            coeffs.append(ZERO if acc is None else acc)
         return coeffs
 
     def combine(self, coeffs):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import wraps
-from itertools import product
 from math import prod
 
 from .scalars import GaussianRational, ZERO, ONE
@@ -192,13 +191,7 @@ class ModelSpec:
             raise ModelError(
                 "model has %d monomials, more than the limit of %d"
                 % (count, MAX_MONOMIALS))
-        table = {}
-        ranges = [range(g.truncation) for g in self.generators]
-        for exps in product(*ranges):
-            table.setdefault(self.monomial_bidegree(exps), []).append(exps)
-        for monos in table.values():
-            monos.sort()
-        return table
+        return _monomial_table(self.generators)
 
     def bidegrees(self):
         """All (p, q) with a nonempty monomial basis, sorted."""
@@ -404,6 +397,23 @@ class Form:
 
     def __repr__(self):
         return "Form(%s)" % self.pretty(ascii_only=True)
+
+
+def _monomial_table(generators):
+    """{(p, q): monomials of that bidegree in lexicographic order}: the
+    exponent vectors are extended one generator at a time, carrying
+    their bidegrees, and each prefix's extensions come in increasing
+    exponent, so every list is in order as built."""
+    monos = [((), 0, 0)]
+    for g in generators:
+        a, b = g.bidegree
+        steps = [((e,), e * a, e * b) for e in range(g.truncation)]
+        monos = [(m + s, p + dp, q + dq)
+                 for m, p, q in monos for s, dp, dq in steps]
+    table = {}
+    for m, p, q in monos:
+        table.setdefault((p, q), []).append(m)
+    return table
 
 
 def _merge_monomials(spec, ma, mb):

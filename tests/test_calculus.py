@@ -13,13 +13,13 @@ from hermform import linalg, scalars
 from hermform.calculus import (SHIFT, THEORY, AssemblyError, HodgeEngine,
                                InnerProduct, NotClosedError,
                                UnknownTheoryError, apply_derivation)
-from hermform.catalog import (calabi_eckmann, engine_for, load, nakamura,
-                              torus)
+from hermform.catalog import (calabi_eckmann, default_instances, engine_for,
+                              load, load_with_action, nakamura, torus)
 from hermform.cli import run
 from hermform.dsl import parse
 from hermform.linalg import Matrix, inner, solve
 from hermform.model import (Form, GeneratorSpec, ModelError, ModelSpec,
-                            _once)
+                            _merge_monomials, _once, invariant_submodel)
 from hermform.scalars import GaussianRational, ONE, ZERO
 
 SAMPLE_IDS = ("torus:2", "iwasawa", "ce:u=1,v=1", "nakamura:IV.3")
@@ -526,32 +526,53 @@ def _count_builds(monkeypatch, name, builds):
 
 
 def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
-    """A cold engine builds each star block and each adjoint block once
-    per (op, degree), though several theories read the same block, and
-    the star column map once per degree, though several ops read it."""
-    star_builds, adjoint_builds, column_builds = (Counter(), Counter(),
-                                                  Counter())
+    """A cold engine builds each matrix, star block and adjoint block
+    once per (op, degree), though several theories read the same block,
+    and the star column map once per bidegree, though several ops read
+    it.  Every total-degree artifact of d, its matrix, adjoint and star
+    block, is placed from bidegree blocks: no d block is built entry by
+    entry and no total degree gets a star column map."""
+    matrix_builds, star_builds, adjoint_builds, column_builds = (
+        Counter(), Counter(), Counter(), Counter())
     weighted_adjoint = HodgeEngine._weighted_adjoint
+    place = HodgeEngine._placed
+    placed = []
 
     def count_adjoint(self, fwd, src, dst):
         op = next(key[0] for key, m in self._memo["matrix"].items()
                   if m is fwd)
         adjoint_builds[op, dst] += 1
         return weighted_adjoint(self, fwd, src, dst)
+
+    def count_placed(self, rows, cols, blocks):
+        placed.append(place(self, rows, cols, blocks))
+        return placed[-1]
+    _count_builds(monkeypatch, "matrix", matrix_builds)
     _count_builds(monkeypatch, "_after_star", star_builds)
     _count_builds(monkeypatch, "_star_columns", column_builds)
     monkeypatch.setattr(HodgeEngine, "_weighted_adjoint", count_adjoint)
+    monkeypatch.setattr(HodgeEngine, "_placed", count_placed)
     engine = HodgeEngine(load("nakamura:IV.3"))
     engine.cohomology_table()
     for theory in THEORY:
         for degree in engine.degrees(theory):
             engine.harmonic_space(theory, *degree)
     assert {op for op, _ in star_builds} == set(SHIFT)
-    assert {op for op, _ in adjoint_builds} == set(SHIFT)
-    assert set(star_builds.values()) == {1}
-    assert set(adjoint_builds.values()) == {1}
-    assert set(column_builds) == {(degree,) for _, degree in star_builds}
-    assert set(column_builds.values()) == {1}
+    assert {op for op, _ in adjoint_builds} == set(SHIFT) - {"d"}
+    for builds in (matrix_builds, star_builds, adjoint_builds,
+                   column_builds):
+        assert set(builds.values()) == {1}
+    assert set(column_builds) == {(degree,) for op, degree in star_builds
+                                  if op != "d"}
+    assert all(len(degree) == 2 for degree, in column_builds)
+    memo = engine._memo
+    d_artifacts = ([m for (op, *_), m in memo["matrix"].items() if op == "d"]
+                   + [m for (op, *k), m in memo["adjoint_matrix"].items()
+                      if op == "d" and k > [0]]
+                   + [m for (op, _), m in memo["_after_star"].items()
+                      if op == "d"])
+    assert len(d_artifacts) > 2 * len(engine.degrees("de_rham"))
+    assert sorted(map(id, d_artifacts)) == sorted(map(id, placed))
 
 
 def test_memoised_methods_give_back_what_they_built():
@@ -582,6 +603,119 @@ def test_memoised_methods_give_back_what_they_built():
                 assert getattr(obj, name)(*key) is value, (name, key)
 
 
+PLACED_IDS = ("torus:3", "iwasawa", "example1:invariant", "ce:u=1,v=2",
+              "nakamura:V.4")
+
+
+def _direct_d(engine, k):
+    """The matrix of d = del + dbar at total degree k, column j the
+    derivation of basis monomial j, with no block placed."""
+    spec, index = engine.spec, engine.index(k + 1)
+    mat = Matrix(len(index), len(engine.basis(k)))
+    for j, mono in enumerate(engine.basis(k)):
+        form = spec.monomial_form(mono)
+        image = (apply_derivation(spec, "del", form)
+                 + apply_derivation(spec, "dbar", form))
+        for m, c in image.components.items():
+            mat.data[index[m]][j] = c
+    return mat
+
+
+def _weight(engine, mono):
+    return GaussianRational(engine.ip.weight(mono))
+
+
+@pytest.mark.parametrize("seeded", (False, True))
+@pytest.mark.parametrize("ident", PLACED_IDS)
+def test_placed_de_rham_artifacts_match_a_direct_build(ident, seeded):
+    """The placed total-degree artifacts equal a direct build over the
+    total-degree basis, on a filtered model and one with an even
+    generator, under the default and a per-generator metric: the d
+    matrix; its adjoint W^-1 D^H W; the star column map of each
+    bidegree, star m = weight(m) times the sign of m ^ (vol - m) = +-vol
+    times vol - m; and the d star block, column j c_j times the
+    conjugate of d's column at the complement."""
+    spec, action = load_with_action(ident)
+    metric = (generator_metric(spec, [Fraction(k + 2, k + 1) for k in
+                                      range(len(spec.generators))])
+              if seeded else None)
+    engine = HodgeEngine(spec, metric, action and invariant_submodel(
+        spec, action))
+    n, vol = spec.n, spec.volume_monomial
+    direct = {k: _direct_d(engine, k) for k in range(2 * n + 1)}
+    for k in range(2 * n + 1):
+        assert engine.matrix("d", k).data == direct[k].data, k
+        if k:
+            low, here = engine.basis(k - 1), engine.basis(k)
+            adjoint = Matrix(len(low), len(here))
+            for i, row in enumerate(direct[k - 1].data):
+                for j, a in row.items():
+                    adjoint.data[j][i] = (a.conjugate() * _weight(
+                        engine, here[i]) / _weight(engine, low[j]))
+            assert engine.adjoint_matrix("d", k).data == adjoint.data, k
+        dual = engine.index(2 * n - k)
+        after = Matrix(direct[2 * n - k].rows, len(engine.basis(k)))
+        for j, mono in enumerate(engine.basis(k)):
+            comp = tuple(v - e for v, e in zip(vol, mono))
+            c = _weight(engine, mono) * _merge_monomials(spec, mono, comp)[1]
+            for i, row in enumerate(direct[2 * n - k].data):
+                if dual[comp] in row:
+                    after.data[i][j] = c * row[dual[comp]].conjugate()
+        assert engine._after_star("d", (k,)).data == after.data, k
+    for bid in spec.bidegrees():
+        source, const = engine._star_columns(bid)
+        dual = engine.index(n - bid[0], n - bid[1])
+        basis = engine.basis(*bid)
+        assert sorted(source) == list(range(len(basis)))
+        for j, mono in enumerate(basis):
+            comp = tuple(v - e for v, e in zip(vol, mono))
+            i = dual[comp]
+            assert source[i] == j
+            assert const[i] == (_weight(engine, mono)
+                                * _merge_monomials(spec, mono, comp)[1])
+
+
+def test_star_sign_in_closed_form():
+    """The star sign of every monomial of every default instance, read
+    off the odd generators before each factor, is the sign that
+    multiplying the monomial by its complement gives."""
+    checked = 0
+    for ident, params in default_instances():
+        engine = engine_for(ident, params)
+        spec = engine.spec
+        for bid in spec.bidegrees():
+            for mono in spec.basis(*bid):
+                comp, sign = engine._complement(mono)
+                assert min(comp) >= 0
+                assert _merge_monomials(spec, mono, comp) == (
+                    spec.volume_monomial, sign), (ident, mono)
+                checked += sign < 0
+    assert checked > 1000
+
+
+def test_harmonic_dimensions_build_no_kernel(monkeypatch):
+    """A cold IV.3 table plus the dimension of every harmonic space
+    row-reduces no kernel: a dimension is the number of columns less the
+    rank of the cross-checked RREF.  The first read of `space` builds
+    that space's kernel, once."""
+    kernels = []
+    kernel = linalg._kernel
+
+    def counted(cols, rref):
+        kernels.append(cols)
+        return kernel(cols, rref)
+    monkeypatch.setattr(linalg, "_kernel", counted)
+    engine = HodgeEngine(load("nakamura:IV.3"))
+    engine.cohomology_table()
+    spaces = [engine.harmonic_space(theory, *degree) for theory in THEORY
+              for degree in engine.degrees(theory)]
+    assert sum(h.dim for h in spaces) > 0
+    assert kernels == []
+    h = max(spaces, key=lambda h: h.dim)
+    assert h.space is h.space and h.space.dim == h.dim
+    assert kernels == [len(h.space.basis[0])]
+
+
 def test_tables_and_harmonic_spaces_pay_per_nonzero(monkeypatch):
     """A cold table plus every harmonic space adds no empty row to an
     Echelon and builds no Form: harmonic forms are built when read."""
@@ -609,9 +743,11 @@ def test_tables_and_harmonic_spaces_pay_per_nonzero(monkeypatch):
 
 def test_tables_and_harmonic_spaces_make_few_scalars(monkeypatch):
     """Work guard, deterministic where timings are not: a cold table
-    plus every harmonic space of IV.3 makes at most 600 scalars.  Unit
+    plus every harmonic space of IV.3 makes at most 300 scalars.  Unit
     rows cost the RREF no arithmetic and a new sparse entry costs no
-    addition; without those rules it made about 2700."""
+    addition; without those rules it made about 2700.  The de Rham
+    blocks are placed, not recomputed, and each weight is negated once
+    for the star columns; without that it made 600."""
     made = []
     make = scalars._make
 
@@ -624,7 +760,7 @@ def test_tables_and_harmonic_spaces_make_few_scalars(monkeypatch):
     for theory in THEORY:
         for degree in engine.degrees(theory):
             engine.harmonic_space(theory, *degree)
-    assert 0 < len(made) <= 600
+    assert 0 < len(made) <= 300
 
 
 def test_harmonic_forms_are_built_on_first_read():

@@ -156,9 +156,9 @@ def test_missing_model_is_user_error():
 
 def test_too_many_monomials_is_user_error_before_enumeration(monkeypatch,
                                                             tmp_path):
-    def enumerate_all(*ranges):
+    def enumerate_all(generators):
         raise AssertionError("the monomials were enumerated")
-    monkeypatch.setattr(model, "product", enumerate_all)
+    monkeypatch.setattr(model, "_monomial_table", enumerate_all)
     code, out, err = invoke(["cohomology", "--model", "torus:40"])
     assert (code, out) == (1, "")
     assert "%d monomials" % 2 ** 80 in err

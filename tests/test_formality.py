@@ -14,6 +14,7 @@ from hermform.cli import run
 from hermform.formality import NOTIONS, check_all, check_formality
 from hermform.linalg import Subspace
 from hermform.model import invariant_submodel
+from hermform.scalars import ONE
 
 
 @pytest.fixture(scope="module")
@@ -129,16 +130,20 @@ def test_generator_set_on_a_torus_is_the_degree_one_basis(ident):
 
 def test_generator_check_tests_the_unit_as_a_left_factor(monkeypatch):
     """(i) asks 1·s in the target too.  Strip ℋ_A of bidegree (1,0) on
-    torus:1: then 1·p1 is the one product of the Aeppli check that leaves
-    ℋ_A, and the module condition must fail on it."""
+    torus:1, giving it the RREF of every coordinate, whose kernel is 0:
+    then 1·p1 is the one product of the Aeppli check that leaves ℋ_A,
+    and the module condition must fail on it."""
     engine = HodgeEngine(load_with_action("torus:1")[0])
     real = engine.harmonic_space
 
     def stripped(theory, *degree):
         h = real(theory, *degree)
         if (theory, degree) == ("aeppli", (1, 0)):
-            return HarmonicBasis(theory, degree, Subspace(h.space.ambient),
-                                 engine.spec, engine.basis(*degree))
+            every = {c: {c: ONE} for c in range(h.space.ambient)}
+            empty = HarmonicBasis(theory, degree, every, engine.spec,
+                                  engine.basis(*degree))
+            assert empty.dim == empty.space.dim == 0 < h.dim
+            return empty
         return h
     monkeypatch.setattr(engine, "harmonic_space", stripped)
     sweep = formality.SWEEPS["geom_aeppli"]

@@ -85,6 +85,20 @@ def test_volume_and_basis_dimensions(iwasawa):
     assert iwasawa.basis(4, 0) == []
 
 
+def test_bases_list_every_monomial_in_lexicographic_order():
+    """Each bidegree's basis is the sorted list of the exponent vectors
+    below the truncations that have that bidegree, on every default
+    instance (even generators with truncation 3 included)."""
+    for ident, params in catalog.default_instances():
+        spec = catalog.load(ident, params)
+        table = {}
+        for mono in product(*(range(g.truncation) for g in spec.generators)):
+            table.setdefault(spec.monomial_bidegree(mono), []).append(mono)
+        assert spec.bidegrees() == sorted(table), ident
+        for bid, monos in table.items():
+            assert spec.basis(*bid) == sorted(monos), (ident, bid)
+
+
 def test_is_multiple_of(iwasawa):
     f = iwasawa.gen("p1").wedge(iwasawa.gen("q2"))
     assert (f * GaussianRational(0, 3)).is_multiple_of(f)
