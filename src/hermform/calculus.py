@@ -14,13 +14,17 @@ adjoint and star block at a total degree are the memoised del and dbar
 blocks placed at their offsets, with no entry computed again.  A
 harmonic space keeps its cross-checked RREF, which gives its dimension;
 its kernel is row-reduced only when read.
+
+`wedge_row` multiplies sparse coordinate rows of two degrees through a
+product table per degree pair, keyed by basis positions and filled as
+products are read; no other module maps positions to monomials.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 
 from . import linalg
 from .linalg import Matrix
@@ -268,8 +272,9 @@ class HodgeEngine:
     invariant submodels); the restriction is validated at assembly time.
 
     Every per-degree artifact (bases, matrices, star and adjoint blocks,
-    closed RREFs, harmonic spaces, projectors, solvers) is built once per
-    engine by a method decorated with `_once` and kept in `_memo`.
+    closed RREFs, harmonic spaces, product tables, projectors, solvers)
+    is built once per engine by a method decorated with `_once` and kept
+    in `_memo`.
     """
 
     def __init__(self, spec, inner_product=None, monomial_filter=None):
@@ -363,44 +368,45 @@ class HodgeEngine:
         coefficients on the degree's basis."""
         return _form(self.spec, self.basis(*degree), row)
 
-    def terms(self, row, *degree):
-        """The sparse row {position: scalar} on the degree's basis as
-        (monomial, scalar) terms, the form `wedge_row` takes."""
-        basis = self.basis(*degree)
-        return [(basis[j], c) for j, c in row.items()]
-
     @_once
-    def product(self, ma, mb):
-        """(monomial, +-1) with ma * mb = +-monomial, or (None, 0) when
-        the product vanishes."""
-        return _merge_monomials(self.spec, ma, mb)
+    def _products(self, da, db):
+        """{(i, j): (k, sign)}: basis monomial i of degree da times basis
+        monomial j of degree db is sign times basis monomial k of degree
+        da + db, or (None, 0) when the product vanishes.  Empty when
+        built; `wedge_row` fills it as it reads products."""
+        return {}
 
-    def wedge_row(self, a, b, *degree):
-        """The wedge of two forms given as (monomial, scalar) terms, as a
-        sparse row on the basis of the degree it lands in.  A term outside
-        that basis is a ModelError, as in `row`."""
-        index = self.index(*degree)
-        table = self._memo["product"]
+    def wedge_row(self, a, da, b, db):
+        """The wedge of the sparse row a at degree da and the sparse row
+        b at degree db, as a sparse row at degree da + db.  A product
+        outside that degree's basis is a ModelError, as in `row`."""
+        table = self._products(da, db)
         out = {}
-        for ma, ca in a:
-            for mb, cb in b:
-                hit = table.get((ma, mb))
-                m, sign = hit if hit is not None else self.product(ma, mb)
-                if m is None:
+        for i, ca in a.items():
+            for j, cb in b.items():
+                hit = table.get((i, j))
+                if hit is None:
+                    m, sign = _merge_monomials(
+                        self.spec, self.basis(*da)[i], self.basis(*db)[j])
+                    if m is not None:
+                        total = tuple(map(add, da, db))
+                        m = self.index(*total).get(m)
+                        if m is None:
+                            raise _outside(total)
+                    hit = table[i, j] = m, sign
+                k, sign = hit
+                if k is None:
                     continue
-                j = index.get(m)
-                if j is None:
-                    raise _outside(degree)
                 c = ca * cb
-                old = out.get(j)
+                old = out.get(k)
                 if old is None:
                     v = c if sign > 0 else -c
                 else:
                     v = old + c if sign > 0 else old - c
                 if v:
-                    out[j] = v
+                    out[k] = v
                 else:
-                    out.pop(j, None)
+                    out.pop(k, None)
         return out
 
     def _degree(self, theory, form):
@@ -654,13 +660,6 @@ class HodgeEngine:
                     "disagree at %s" % (theory, _label(degree)))
         return HarmonicBasis(theory, degree if len(degree) > 1 else degree[0],
                              rref, self.spec, self.basis(*degree))
-
-    @_once
-    def harmonic_terms(self, theory, *degree):
-        """The rows of the harmonic space as (monomial, scalar) terms, for
-        products."""
-        return [self.terms(row, *degree)
-                for row in self.harmonic_space(theory, *degree).space.rows]
 
     def de_rham_harmonic(self, k):
         return self.harmonic_space("de_rham", k)

@@ -11,6 +11,8 @@ Identifiers:
     example1:invariant  Iwasawa model + the order-4 diagonal action
                       whose invariants model the sigma-quotient
 
+A parameter that the identifier does not take is a CatalogError.
+
 Holomorphic generators are named p1..pn with conjugates q1..qn, so the
 classical phi^{3 1-2-3-bar} reads p3*q1*q2*q3 here.
 """
@@ -90,7 +92,17 @@ _NAKAMURA = {
 }
 
 
+def _takes(identifier, parameters, names=()):
+    """Refuse a parameter that the identifier does not take."""
+    extra = sorted(set(parameters or ()) - set(names))
+    if extra:
+        raise CatalogError("%s takes no parameter %s"
+                           % (identifier, ", ".join(map(repr, extra))))
+
+
 def nakamura(case, parameters=None):
+    _takes("nakamura:%s" % case, parameters,
+           ("alpha", "beta") if case == "V.17" else ())
     if case == "V.17":
         return _nakamura_v17(parameters)
     if case not in _NAKAMURA:
@@ -176,6 +188,9 @@ def _parse_id_params(text):
 
 def load_with_action(identifier, parameters=None):
     """Resolve an identifier to (ModelSpec, DiagonalAction-or-None)."""
+    if (identifier in ("iwasawa", "example1:invariant")
+            or identifier.startswith("torus:")):
+        _takes(identifier, parameters)
     if identifier == "iwasawa":
         return nakamura("III.2"), None
     if identifier == "example1:invariant":
@@ -190,9 +205,9 @@ def load_with_action(identifier, parameters=None):
     if identifier.startswith("nakamura:"):
         return nakamura(identifier[len("nakamura:"):], parameters), None
     if identifier.startswith("ce:"):
-        raw = _parse_id_params(identifier[len("ce:"):])
-        merged = dict(raw)
+        merged = _parse_id_params(identifier[len("ce:"):])
         merged.update(parameters or {})
+        _takes("ce", merged, ("u", "v"))
         try:
             u, v = int(merged["u"]), int(merged["v"])
         except (KeyError, ValueError):

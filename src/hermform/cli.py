@@ -16,7 +16,7 @@ from . import catalog, dsl, formality, linalg, massey, obstructions
 from .calculus import AssemblyError, HodgeEngine, NotClosedError
 from .catalog import CatalogError
 from .dsl import DslError
-from .model import ModelError, invariant_submodel
+from .model import ModelError, _pretty_sum, invariant_submodel
 from .obstructions import TableError
 from .scalars import ScalarLiteralError, parse_scalar
 
@@ -40,9 +40,8 @@ def paper_notation(spec, form, ascii_only=False):
     ce = all(g.name in ("phi", "phib", "w1", "w2") for g in gens)
     if not (pq or ce):
         return form.pretty()
-    parts = []
+    terms = []
     for mono in sorted(form.components):
-        coeff = form.components[mono]
         if pq:
             holo = "".join(g.name[1:] * e for e, g in zip(mono, gens)
                            if e and g.name[0] == "p")
@@ -60,18 +59,8 @@ def paper_notation(spec, form, ascii_only=False):
                 nm = names[g.name]
                 factors.append(nm if e == 1 else "%s^%d" % (nm, e))
             body = "\u2227".join(factors) if factors else "1"
-        cs = str(coeff)
-        if body == "1":
-            parts.append(cs)
-        elif cs == "1":
-            parts.append(body)
-        elif cs == "-1":
-            parts.append("-" + body)
-        elif ("+" in cs[1:]) or ("-" in cs[1:]):
-            parts.append("(%s)\u00b7%s" % (cs, body))
-        else:
-            parts.append("%s\u00b7%s" % (cs, body))
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        terms.append((body, form.components[mono]))
+    return _pretty_sum(terms, "\u00b7")
 
 
 def _diamond(n, table, out):

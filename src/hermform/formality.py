@@ -3,8 +3,9 @@
 Each notion asks that wedge products of harmonic forms stay inside the
 relevant harmonic space.  SWEEPS records, per notion, the left factors
 L, the right factors R and the target space T; in every notion T = L.
-Products of basis forms are taken as sparse coordinate rows through the
-engine's monomial product table, and a Form is built only for a witness.
+Products of basis forms are taken as sparse coordinate rows, the
+harmonic spaces' own rows, through the engine's product table for each
+pair of degrees, and Forms are built only for a witness.
 
 A true verdict needs only |L|·|S| products, for a set S of basis forms
 of R built going up in total degree: S takes each basis form of R that
@@ -84,17 +85,15 @@ class FormalityReport:
         return "FormalityReport(%s, %s)" % (self.notion, self.verdict)
 
 
-# One space at one degree.  `space` is its Subspace; `rows` is the basis
-# the canonical scan walks, as sparse rows {position: scalar}, and only
-# a witness is made a Form; `span` is the RREF basis of `space`.  A
-# theory's harmonic space has one basis for both; "abc" walks the rows
-# of ℋ_A then those of ℋ_BC, which on a torus repeat each row.
-_Space = namedtuple("_Space", ["space", "rows", "span"])
+# One space at one degree: its Subspace, and the sparse rows that the
+# canonical scan walks, the RREF rows for a theory.  "abc" walks ℋ_A's
+# rows, then those of ℋ_BC that ℋ_A's lack: a repeated row's products
+# repeat those of its first occurrence, so it is never the first witness.
+_Space = namedtuple("_Space", ["space", "rows"])
 
 
 class _Spaces:
-    """The spaces a check reads, by name and degree, built on first use;
-    each row also comes as (monomial, scalar) terms for products."""
+    """The spaces a check reads, by name and degree, built on first use."""
 
     def __init__(self, engine):
         self.engine = engine
@@ -104,22 +103,11 @@ class _Spaces:
     def get(self, name, degree):
         if name != "abc":
             space = self.engine.harmonic_space(name, *degree).space
-            return _Space(space, space.rows, space.rows)
-        a = self.engine.harmonic_space("aeppli", *degree)
-        bc = self.engine.harmonic_space("bott_chern", *degree)
-        rows = a.space.rows + bc.space.rows
-        span = Subspace._from_rows(a.space.ambient, rows)
-        return _Space(span, rows, span.rows)
-
-    @_once
-    def terms(self, name, degree, which):
-        """The rows of get(name, degree).`which` as (monomial, scalar)
-        lists; a theory's come from the engine, which keeps them for
-        every check."""
-        if name != "abc":
-            return self.engine.harmonic_terms(name, *degree)
-        return [self.engine.terms(row, *degree)
-                for row in getattr(self.get(name, degree), which)]
+            return _Space(space, space.rows)
+        a = self.engine.harmonic_space("aeppli", *degree).space
+        bc = self.engine.harmonic_space("bott_chern", *degree).space
+        rows = a.rows + [row for row in bc.rows if row not in a.rows]
+        return _Space(Subspace._from_rows(a.ambient, rows), rows)
 
 
 def _grading(name):
@@ -133,9 +121,9 @@ def _add(a, b):
 
 def _generator_set(spaces, sweep):
     """(holds, S) for the argument in the module docstring.  holds is
-    True when (i) and (ii) hold, with S as (degree, position in the right
-    space's `span`) pairs; False when a product of (i) leaves the target;
-    None when degree 0 holds more than the unit."""
+    True when (i) and (ii) hold, with S as (degree, position among the
+    RREF rows of the right space) pairs; False when a product of (i)
+    leaves the target; None when degree 0 holds more than the unit."""
     engine = spaces.engine
     degrees = engine.degrees(_grading(sweep.target))
     zero = (0,) * len(degrees[0])
@@ -149,13 +137,12 @@ def _generator_set(spaces, sweep):
     found = []
     for degree in positive:
         span = spanned.pop(degree)
-        kept = [k for k, row in enumerate(spaces.get(sweep.right, degree).span)
-                if span.add(row)]
+        rows = spaces.get(sweep.right, degree).space.rows
+        kept = [k for k, row in enumerate(rows) if span.add(row)]
         if not kept:
             continue
         found.extend((degree, k) for k in kept)
-        terms = spaces.terms(sweep.right, degree, "span")
-        gens = [terms[k] for k in kept]
+        gens = [rows[k] for k in kept]
         for other in degrees:
             total = _add(other, degree)
             # with L = R, 1·s = s lies in T already
@@ -163,18 +150,18 @@ def _generator_set(spaces, sweep):
                 continue
             target = spaces.get(sweep.target, total).space
             span = spanned.get(total)
-            for a in spaces.terms(sweep.left, other, "span"):
+            for a in spaces.get(sweep.left, other).space.rows:
                 for s in gens:
-                    row = engine.wedge_row(a, s, *total)
+                    row = engine.wedge_row(a, other, s, degree)
                     if row and not target.contains_row(row):
                         return False, found
                     # with L = R this is a product of (ii), inside R
                     if same and row and len(span) < target.dim:
                         span.add(row)
             if not same and other != zero:
-                for r in spaces.terms(sweep.right, other, "span"):
+                for r in spaces.get(sweep.right, other).space.rows:
                     for s in gens:
-                        span.add(engine.wedge_row(r, s, *total))
+                        span.add(engine.wedge_row(r, other, s, degree))
     return True, found
 
 
@@ -191,18 +178,17 @@ def _first_violation(spaces, sweep):
             total = _add(left, right)
             if total not in present:
                 continue
-            lefts = spaces.terms(sweep.left, left, "rows")
-            rights = spaces.terms(sweep.right, right, "rows") if lefts else ()
-            for i, a in enumerate(lefts):
-                for k, b in enumerate(rights):
-                    row = engine.wedge_row(a, b, *total)
+            lefts = spaces.get(sweep.left, left).rows
+            rights = spaces.get(sweep.right, right).rows if lefts else ()
+            for a in lefts:
+                for b in rights:
+                    row = engine.wedge_row(a, left, b, right)
                     if row and not spaces.get(
                             sweep.target, total).space.contains_row(row):
-                        f = engine.form(
-                            spaces.get(sweep.left, left).rows[i], *left)
-                        g = engine.form(
-                            spaces.get(sweep.right, right).rows[k], *right)
-                        return Witness(f, g, sweep.equation, f.wedge(g))
+                        return Witness(engine.form(a, *left),
+                                       engine.form(b, *right),
+                                       sweep.equation,
+                                       engine.form(row, *total))
     return None
 
 

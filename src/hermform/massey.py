@@ -8,6 +8,9 @@ potentials f with del dbar f = (sign) * wedge; the representative
 is del-dbar-closed, so it has an Aeppli class.  The product is the coset
 of that class modulo classes of alpha ^ (Aeppli-harmonic) and
 (Aeppli-harmonic) ^ gamma; it is "nonzero" when the coset misses zero.
+
+Every product is the engine's `wedge_row` on sparse coordinate rows: the
+rows that the inputs' harmonicity test reads, and the potentials' rows.
 """
 
 from __future__ import annotations
@@ -72,15 +75,14 @@ class MasseyVerdict:
             self.nonzero, self.bidegree)
 
 
-def _signed(form, p, q):
-    """The (monomial, scalar) terms of (-1)^(p+q) form."""
-    terms = form.components.items()
-    return [(m, -c) for m, c in terms] if (p + q) % 2 else terms
+def _signed(row, p, q):
+    """The sparse row of (-1)^(p+q) times the sparse row."""
+    return {j: -c for j, c in row.items()} if (p + q) % 2 else row
 
 
-def _potential_terms(engine, f, target, bid):
-    """The terms of a potential for the sparse row target at bid: the
-    minimum-norm one, or the Form f when given, which must lie on the
+def _potential_row(engine, f, target, bid):
+    """The sparse row of a potential for the sparse row target at bid:
+    the minimum-norm one, or the Form f when given, which must lie on the
     source's basis.  Either way del dbar of it must give target."""
     src = (bid[0] - 1, bid[1] - 1)
     if f is None:
@@ -93,7 +95,7 @@ def _potential_terms(engine, f, target, bid):
         if row is None or engine.matrix("ddbar", *src).mul_rows(
                 [row])[0] != target:
             raise PotentialError("supplied potential fails its equation")
-    return engine.terms(row, *src)
+    return row
 
 
 def triple_abc_massey(engine, alpha, beta, gamma,
@@ -104,34 +106,36 @@ def triple_abc_massey(engine, alpha, beta, gamma,
     defining equations are still verified); the nonzero verdict never
     depends on the choice.
     """
-    bids = []
+    bids, rows = [], []
     for name, form in (("alpha", alpha), ("beta", beta), ("gamma", gamma)):
         if form.is_zero():
             raise ModelError("%s is zero, which has no bidegree" % name)
         bid = form.bidegree()
-        if bid is None or not engine.harmonic_space(
-                "bott_chern", *bid).space.contains_row(
-                    engine.row(form.components, *bid)):
+        row = None if bid is None else engine.row(form.components, *bid)
+        if row is None or not engine.harmonic_space(
+                "bott_chern", *bid).space.contains_row(row):
             raise NotClosedError("%s is not Bott-Chern harmonic" % name)
         bids.append(bid)
-    (p, q), (r, s), (u, v) = bids
+        rows.append(row)
+    (p, q), (r, s), (u, v) = da, db, dc = bids
     # a = (-1)^(p+q) alpha and c = (-1)^(r+s) gamma carry the signs of
     # both targets and of the representative
-    a, b, c = (_signed(alpha, p, q), beta.components.items(),
-               _signed(gamma, r, s))
-    ab, bg = (p + r, q + s), (r + u, s + v)
-    f_ab = _potential_terms(engine, f_ab, engine.wedge_row(a, b, *ab), ab)
-    f_bg = _potential_terms(engine, f_bg, engine.wedge_row(b, c, *bg), bg)
+    a, b, c = _signed(rows[0], p, q), rows[1], _signed(rows[2], r, s)
+    # the bidegrees of the potentials and of the product
+    fab, fbg = (p + r - 1, q + s - 1), (r + u - 1, s + v - 1)
     bid = (p + r + u - 1, q + s + v - 1)
-    rep = linalg.axpy(engine.wedge_row(a, f_bg, *bid), -ONE,
-                      engine.wedge_row(f_ab, c, *bid))
+    f_ab = _potential_row(engine, f_ab, engine.wedge_row(a, da, b, db),
+                          (p + r, q + s))
+    f_bg = _potential_row(engine, f_bg, engine.wedge_row(b, db, c, dc),
+                          (r + u, s + v))
+    rep = linalg.axpy(engine.wedge_row(a, da, f_bg, fbg), -ONE,
+                      engine.wedge_row(f_ab, fab, c, dc))
     cls, projection = engine.class_row("aeppli", rep, *bid)
-    products = ([engine.wedge_row(alpha.components.items(), xi, *bid)
-                 for xi in engine.harmonic_terms("aeppli", r + u - 1,
-                                                 s + v - 1)]
-                + [engine.wedge_row(zeta, gamma.components.items(), *bid)
-                   for zeta in engine.harmonic_terms("aeppli", p + r - 1,
-                                                     q + s - 1)])
+    products = ([engine.wedge_row(rows[0], da, xi, fbg)
+                 for xi in engine.harmonic_space("aeppli", *fbg).space.rows]
+                + [engine.wedge_row(zeta, fab, rows[2], dc)
+                   for zeta in engine.harmonic_space(
+                       "aeppli", *fab).space.rows])
     indet = Subspace._from_rows(len(cls), [
         linalg._sparse(engine.class_row("aeppli", row, *bid)[0])
         for row in products if row])

@@ -376,27 +376,31 @@ class Form:
                      if self.spec.monomial_bidegree(m) == (p, q)})
 
     def pretty(self, ascii_only=False):
-        if not self.components:
-            return "0"
-        parts = []
-        for m in sorted(self.components):
-            c = self.components[m]
-            mono = self.spec.pretty_monomial(m, ascii_only)
-            cs = str(c)
-            if mono == "1":
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-%s" % mono)
-            elif ("+" in cs[1:]) or ("-" in cs[1:]):
-                parts.append("(%s)*%s" % (cs, mono))
-            else:
-                parts.append("%s*%s" % (cs, mono))
-        return " + ".join(parts).replace("+ -", "- ")
+        return _pretty_sum(
+            ((self.spec.pretty_monomial(m, ascii_only), self.components[m])
+             for m in sorted(self.components)), "*")
 
     def __repr__(self):
         return "Form(%s)" % self.pretty(ascii_only=True)
+
+
+def _pretty_sum(terms, times):
+    """The (body, coefficient) terms as text joined by " + ", "0" for
+    none; `times` joins a coefficient other than +-1 to a body not "1"."""
+    parts = []
+    for body, coeff in terms:
+        cs = str(coeff)
+        if body == "1":
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(body)
+        elif cs == "-1":
+            parts.append("-" + body)
+        elif ("+" in cs[1:]) or ("-" in cs[1:]):
+            parts.append("(%s)%s%s" % (cs, times, body))
+        else:
+            parts.append("%s%s%s" % (cs, times, body))
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
 def _monomial_table(generators):

@@ -793,21 +793,49 @@ def test_released_engine_is_freed_by_reference_counting(no_cyclic_collector,
     assert use()() is None
 
 
+# Degree pairs of the product-table test; None is every pair of bidegrees.
+PRODUCT_PAIRS = (("ce:u=1,v=1", None),
+                 ("example1:invariant", (((1, 1), (1, 1)),)),
+                 ("iwasawa", (((2,), (3,)),)))
+
+
 def test_product_table_matches_wedge():
-    engine = engine_for("ce:u=1,v=1")
-    spec = engine.spec
-    monos = [m for bid in engine.degrees("dolbeault")
-             for m in engine.basis(*bid)]
-    rng = random.Random(47)
-    for _ in range(200):
-        ma, mb = rng.choice(monos), rng.choice(monos)
-        mono, sign = engine.product(ma, mb)
-        wedge = spec.monomial_form(ma).wedge(spec.monomial_form(mb))
-        if mono is None:
-            assert sign == 0 and wedge.is_zero()
-        else:
-            assert wedge.components == {mono: GaussianRational(sign)}
-        assert engine.product(ma, mb) is engine.product(ma, mb)
+    """Every entry of the product tables of some degree pairs matches
+    Form.wedge of the two basis monomials: (k, sign) where the product is
+    sign times basis monomial k of da + db, and (None, 0) where it
+    vanishes, both kinds present on each model.  The pairs are every
+    pair of bidegrees of a model with even generators, one of a filtered
+    model and one of total degrees.  wedge_row of the two basis rows
+    fills the table and gives the same product, and a second call
+    returns the same table."""
+    for ident, pairs in PRODUCT_PAIRS:
+        spec, action = load_with_action(ident)
+        engine = HodgeEngine(spec, monomial_filter=action and
+                             invariant_submodel(spec, action))
+        if pairs is None:
+            degrees = engine.degrees("dolbeault")
+            pairs = [(da, db) for da in degrees for db in degrees]
+        kinds = set()
+        for da, db in pairs:
+            total = tuple(a + b for a, b in zip(da, db))
+            left, right = engine.basis(*da), engine.basis(*db)
+            for i, ma in enumerate(left):
+                for j, mb in enumerate(right):
+                    row = engine.wedge_row({i: ONE}, da, {j: ONE}, db)
+                    wedge = spec.monomial_form(ma).wedge(
+                        spec.monomial_form(mb))
+                    k, sign = engine._products(da, db)[i, j]
+                    kinds.add(k is None)
+                    if wedge.is_zero():
+                        assert (k, sign) == (None, 0) and row == {}
+                    else:
+                        assert wedge.components == {
+                            engine.basis(*total)[k]: GaussianRational(sign)}
+                        assert row == {k: GaussianRational(sign)}
+            table = engine._products(da, db)
+            assert len(table) == len(left) * len(right)
+            assert engine._products(da, db) is table
+        assert kinds == {True, False}, ident
 
 
 def test_torus_harmonic_is_everything():

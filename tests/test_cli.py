@@ -2,6 +2,7 @@
 
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from hermform import linalg, model
 from hermform.cli import paper_notation, run
 from hermform.catalog import engine_for, load
 from hermform.obstructions import torus_table
+from hermform.scalars import GaussianRational
 
 
 def invoke(argv, env_ascii=False, monkeypatch=None):
@@ -154,6 +156,36 @@ def test_missing_model_is_user_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("model,params,refused", (
+    ("ce:u=1,v=1,w=2", [], "'w'"),
+    ("ce:u=1", ["v=1", "w=2"], "'w'"),
+    ("torus:2", ["x=1"], "'x'"),
+    ("iwasawa", ["u=1"], "'u'"),
+    ("example1:invariant", ["alpha=1"], "'alpha'"),
+    ("nakamura:IV.3", ["alpha=1"], "'alpha'"),
+    ("nakamura:V.17", ["alpha=1", "beta=1", "gamma=2", "delta=1"],
+     "'delta', 'gamma'")))
+def test_a_parameter_the_identifier_does_not_take_is_user_error(
+        model, params, refused):
+    """V.17 takes alpha and beta, ce takes u and v, by identifier or
+    --param, and every other identifier takes none."""
+    argv = ["cohomology", "--model", model]
+    for kv in params:
+        argv += ["--param", kv]
+    code, out, err = invoke(argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("takes no parameter %s\n" % refused)
+
+
+def test_parameters_the_identifier_takes_are_accepted():
+    for model, params in (("ce:u=1", ["v=1"]),
+                          ("nakamura:V.17", ["alpha=1", "beta=-1"])):
+        argv = ["cohomology", "--model", model]
+        for kv in params:
+            argv += ["--param", kv]
+        assert invoke(argv)[0] == 0
+
+
 def test_too_many_monomials_is_user_error_before_enumeration(monkeypatch,
                                                             tmp_path):
     def enumerate_all(generators):
@@ -233,6 +265,27 @@ def test_paper_notation_utf8_and_ascii():
     ce = load("ce:u=1,v=1")
     w = ce.gen("w1").wedge(ce.gen("w2"))
     assert paper_notation(ce, w) == "ω₁∧ω₂"
+
+
+def test_form_and_paper_notation_write_every_kind_of_coefficient():
+    """A unit body, coefficients 1 and -1, a complex coefficient in
+    parentheses, a negative one after "+" read as "- ", in both
+    renderers, which differ only in the product sign."""
+    spec = load("iwasawa")
+    f = (spec.one() * 2 + spec.gen("p1") - spec.gen("p2")
+         + spec.gen("p3") * GaussianRational(1, 1)
+         + spec.gen("q1") * GaussianRational(Fraction(-1, 2))
+         + spec.form_from_names(("p1", "q2")) * GaussianRational(0, -3))
+    plain = "2 - 1/2*q1 + (1+i)*p3 - p2 + p1 - 3i*p1*q2"
+    assert f.pretty() == paper_notation(spec, f, ascii_only=True) == plain
+    assert paper_notation(spec, f) == (
+        "2 - 1/2·φ^{1̄} + (1+i)·φ^{3} - φ^{2} + φ^{1} - 3i·φ^{12̄}")
+    ce = load("ce:u=1,v=1")
+    g = (ce.gen("w1") * GaussianRational(0, 1)
+         - ce.form_from_names(("phi", "w2"))
+         + ce.one() * GaussianRational(1, -1))
+    assert g.pretty() == "1-i + i*w1 - phi*w2"
+    assert paper_notation(ce, g) == "1-i + i·ω₁ - φ∧ω₂"
 
 
 def test_ascii_env_var(monkeypatch):
