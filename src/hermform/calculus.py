@@ -155,6 +155,7 @@ def _derive_monomial(table, mono):
 
 
 _UNIT_WEIGHT = Fraction(1)
+_UNIT_SCALARS = (ONE, ONE, -ONE)
 
 
 class InnerProduct:
@@ -167,23 +168,30 @@ class InnerProduct:
 
     def __init__(self, weights=None):
         self.weights = {}
-        self._ratios = {}
+        self._scalars = {}
+        # one (w, 1/w, -w) per distinct weight, keyed by its two ints,
+        # which hash without the modular inverse a Fraction's hash costs
+        shared = {(1, 1): _UNIT_SCALARS}
         for mono, w in (weights or {}).items():
             w = Fraction(w)
             if w <= 0:
                 raise ModelError("inner-product weight must be positive")
             mono = tuple(mono)
             self.weights[mono] = w
-            self._ratios[mono] = w.numerator, w.denominator
+            key = w.numerator, w.denominator
+            if key not in shared:
+                scalar = GaussianRational(w)
+                shared[key] = scalar, ONE / scalar, -scalar
+            self._scalars[mono] = shared[key]
 
     def weight(self, mono):
         """Weight of a basis monomial (an exponent tuple)."""
         return self.weights.get(mono, _UNIT_WEIGHT)
 
-    def ratio(self, mono):
-        """(numerator, denominator) of the weight in lowest terms, read
-        once when the metric is built."""
-        return self._ratios.get(mono, (1, 1))
+    def scalars(self, mono):
+        """(w, 1/w, -w) as scalars for the monomial's weight w; the unit
+        weight gives (ONE, ONE, -ONE), shared by every unit monomial."""
+        return self._scalars.get(mono, _UNIT_SCALARS)
 
 
 def _form(spec, basis, row):
@@ -336,22 +344,10 @@ class HodgeEngine:
         return [self.ip.weight(m) for m in self.basis(*degree)]
 
     @_once
-    def _weight_scalars(self, numerator, denominator):
-        """(w, 1/w, -w) as scalars for the weight w =
-        numerator/denominator, in lowest terms; the unit weight gives ONE
-        twice."""
-        if numerator == denominator:
-            return ONE, ONE, -ONE
-        scalar = GaussianRational(Fraction(numerator, denominator))
-        return scalar, ONE / scalar, -scalar
-
-    @_once
     def _scalar_weights(self, degree):
         """(w, 1/w, -w), three lists over the degree's basis, as
         scalars."""
-        ratio = self.ip.ratio
-        scalars = [self._weight_scalars(*ratio(m))
-                   for m in self.basis(*degree)]
+        scalars = [self.ip.scalars(m) for m in self.basis(*degree)]
         return tuple([t[k] for t in scalars] for k in range(3))
 
     def row(self, components, *degree):
@@ -568,8 +564,7 @@ class HodgeEngine:
         out = self.spec.zero()
         for mono, coeff in form.components.items():
             comp, sign = self._complement(mono)
-            scalar = self._weight_scalars(*self.ip.ratio(mono))[0]
-            c = coeff.conjugate() * scalar
+            c = coeff.conjugate() * self.ip.scalars(mono)[0]
             out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
         return out
 
@@ -701,7 +696,7 @@ class HodgeEngine:
     def _projector(self, theory, degree):
         """Projector onto the harmonic space."""
         return linalg.Projector(self.harmonic_space(theory, *degree).space,
-                                self.weights(*degree))
+                                self._scalar_weights(degree)[0])
 
     def class_of(self, form, theory):
         """Coordinates of the harmonic projection in the harmonic basis,

@@ -11,7 +11,10 @@ Identifiers:
     example1:invariant  Iwasawa model + the order-4 diagonal action
                       whose invariants model the sigma-quotient
 
-A parameter that the identifier does not take is a CatalogError.
+Parameters come as `name=value` chunks, from an identifier's suffix or
+from --param, and `parse_parameters` reads both alike.  A parameter
+that the identifier does not take is a CatalogError.  `engine` is the
+one place that turns an identifier into a HodgeEngine.
 
 Holomorphic generators are named p1..pn with conjugates q1..qn, so the
 classical phi^{3 1-2-3-bar} reads p3*q1*q2*q3 here.
@@ -19,11 +22,9 @@ classical phi^{3 1-2-3-bar} reads p3*q1*q2*q3 here.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .model import (DiagonalAction, GeneratorSpec, ModelError, ModelSpec,
-                    invariant_submodel)
-from .scalars import GaussianRational, I, ONE
+from .calculus import HodgeEngine
+from .model import DiagonalAction, GeneratorSpec, ModelSpec, invariant_submodel
+from .scalars import GaussianRational, I, ONE, parse_scalar
 
 
 class CatalogError(ValueError):
@@ -175,14 +176,18 @@ def example1_action(spec):
 
 # -- identifier dispatch -----------------------------------------------
 
-def _parse_id_params(text):
-    """'u=1,v=2' -> {'u': '1', 'v': '2'}"""
+def parse_parameters(chunks):
+    """{name: value} from 'name=value' chunks, each value an int, else a
+    Gaussian-rational literal: ['u=1', 'v=1/2'] -> {'u': 1, 'v': 1/2}."""
     out = {}
-    for chunk in text.split(","):
+    for chunk in chunks or ():
         if "=" not in chunk:
-            raise CatalogError("bad parameter chunk %r" % chunk)
-        k, _, val = chunk.partition("=")
-        out[k.strip()] = val.strip()
+            raise CatalogError("parameter %r is not name=value" % chunk)
+        name, _, value = (part.strip() for part in chunk.partition("="))
+        try:
+            out[name] = int(value)
+        except ValueError:
+            out[name] = parse_scalar(value)
     return out
 
 
@@ -205,12 +210,11 @@ def load_with_action(identifier, parameters=None):
     if identifier.startswith("nakamura:"):
         return nakamura(identifier[len("nakamura:"):], parameters), None
     if identifier.startswith("ce:"):
-        merged = _parse_id_params(identifier[len("ce:"):])
+        merged = parse_parameters(identifier[len("ce:"):].split(","))
         merged.update(parameters or {})
         _takes("ce", merged, ("u", "v"))
-        try:
-            u, v = int(merged["u"]), int(merged["v"])
-        except (KeyError, ValueError):
+        u, v = merged.get("u"), merged.get("v")
+        if type(u) is not int or type(v) is not int:
             raise CatalogError("ce needs integer parameters u and v")
         return calabi_eckmann(u, v), None
     raise CatalogError("unknown catalog identifier %r" % identifier)
@@ -227,15 +231,18 @@ def ids():
     return out
 
 
+# The parameters V.17 runs with by default: the generic branch of the
+# appendix and the beta = -1 one.
+V17_RUNS = ({"alpha": 1, "beta": 1}, {"alpha": 1, "beta": -1})
+
+
 def default_instances():
     """Concrete (identifier, parameters) list used by the test sweeps."""
     out = [("torus:1", None), ("torus:2", None), ("torus:3", None),
            ("iwasawa", None), ("example1:invariant", None),
            ("ce:u=0,v=1", None), ("ce:u=1,v=1", None), ("ce:u=1,v=2", None)]
-    for case in sorted(_NAKAMURA):
-        out.append(("nakamura:%s" % case, None))
-    out.append(("nakamura:V.17", {"alpha": 1, "beta": 1}))
-    out.append(("nakamura:V.17", {"alpha": 1, "beta": -1}))
+    out += [("nakamura:%s" % case, None) for case in sorted(_NAKAMURA)]
+    out += [("nakamura:V.17", run) for run in V17_RUNS]
     return out
 
 
@@ -298,39 +305,38 @@ APPENDIX_CASES = ("III.2", "III.3", "IV.2", "IV.3", "IV.4", "IV.6",
 _ENGINE_CACHE = {}
 
 
-def engine_for(identifier, parameters=None):
-    """Shared HodgeEngine (default inner product) per catalog instance."""
-    from .calculus import HodgeEngine
+def engine(identifier, parameters=None):
+    """A new HodgeEngine (default inner product) on the catalog
+    instance, restricted to the invariant subcomplex when the identifier
+    carries an action."""
+    spec, action = load_with_action(identifier, parameters)
+    return HodgeEngine(spec, monomial_filter=(
+        invariant_submodel(spec, action) if action else None))
 
-    key = (identifier, tuple(sorted((parameters or {}).items(),
-                                    key=lambda kv: kv[0])))
+
+def engine_for(identifier, parameters=None):
+    """Shared `engine` per catalog instance."""
+    key = (identifier, tuple(sorted((parameters or {}).items())))
     if key not in _ENGINE_CACHE:
-        spec, action = load_with_action(identifier, parameters)
-        filt = invariant_submodel(spec, action) if action else None
-        _ENGINE_CACHE[key] = HodgeEngine(spec, monomial_filter=filt)
+        _ENGINE_CACHE[key] = engine(identifier, parameters)
     return _ENGINE_CACHE[key]
 
 
 def massey_case(case_id, parameters=None):
     """(alpha, beta, gamma, listed representative, engine) for one
-    Appendix case."""
+    Appendix case; V.17 runs with the first of V17_RUNS by default."""
     if case_id not in APPENDIX_CASES:
         raise CatalogError("unknown appendix case %r" % case_id)
     if case_id == "V.17":
-        params = dict(parameters or {"alpha": 1, "beta": 1})
-        spec = nakamura("V.17", params)
-        beta = GaussianRational.of(params["beta"])
-        data = _MASSEY["V.17:beta=-1" if beta == GaussianRational(-1)
-                       else "V.17:generic"]
-        from .calculus import HodgeEngine
-        engine = HodgeEngine(spec)
-    else:
-        if parameters:
-            raise CatalogError("case %s takes no parameters" % case_id)
-        data = _MASSEY[case_id]
-        engine = engine_for("nakamura:%s" % case_id)
-    a_names, b_names, c_names, rep_names = data
+        parameters = parameters or V17_RUNS[0]
+    elif parameters:
+        raise CatalogError("case %s takes no parameters" % case_id)
+    engine = engine_for("nakamura:" + case_id, parameters)
     spec = engine.spec
+    if case_id == "V.17":
+        case_id += (":beta=-1" if spec.parameters["beta"] == -ONE
+                    else ":generic")
+    a_names, b_names, c_names, rep_names = _MASSEY[case_id]
     return (spec.form_from_names(a_names), spec.form_from_names(b_names),
             spec.form_from_names(c_names), spec.form_from_names(rep_names),
             engine)

@@ -16,9 +16,9 @@ from . import catalog, dsl, formality, linalg, massey, obstructions
 from .calculus import AssemblyError, HodgeEngine, NotClosedError
 from .catalog import CatalogError
 from .dsl import DslError
-from .model import ModelError, _pretty_sum, invariant_submodel
+from .model import ModelError, _pretty_sum
 from .obstructions import TableError
-from .scalars import ScalarLiteralError, parse_scalar
+from .scalars import ScalarLiteralError
 
 _SUB = str.maketrans("0123456789", "\u2080\u2081\u2082\u2083\u2084"
                      "\u2085\u2086\u2087\u2088\u2089")
@@ -77,27 +77,15 @@ def _diamond(n, table, out):
         out.write(r.center(width).rstrip() + "\n")
 
 
-def _params(pairs):
-    out = {}
-    for chunk in pairs or []:
-        if "=" not in chunk:
-            raise CatalogError("--param expects k=v, got %r" % chunk)
-        k, _, v = chunk.partition("=")
-        try:
-            out[k] = int(v)
-        except ValueError:
-            out[k] = parse_scalar(v)
-    return out
-
-
 def _engine(args):
-    params = _params(getattr(args, "param", None))
-    if getattr(args, "file", None):
-        spec = dsl.parse_file(args.file)
-        return HodgeEngine(spec)
-    spec, action = catalog.load_with_action(args.model, params or None)
-    filt = invariant_submodel(spec, action) if action else None
-    return HodgeEngine(spec, monomial_filter=filt)
+    """The engine of --model or of --file, with the --param values."""
+    if bool(args.model) == bool(args.file):
+        raise CatalogError("%s needs --model or --file%s"
+                           % (args.verb, ", not both" if args.model else ""))
+    params = catalog.parse_parameters(args.param)
+    if args.file:
+        return HodgeEngine(dsl.parse_file(args.file, params))
+    return catalog.engine(args.model, params)
 
 
 # -- verbs -------------------------------------------------------------
@@ -108,39 +96,35 @@ def cmd_list(args, out):
     return 0
 
 
-_THEORY_KEYS = {"dbar": "h_dbar", "del": "h_del", "bc": "h_bc", "a": "h_a"}
+# --theories name -> (CohomologyTable field, heading of its text)
+_THEORIES = {"dbar": ("h_dbar", "Dolbeault diamond"),
+             "del": ("h_del", "conjugate Dolbeault diamond"),
+             "bc": ("h_bc", "Bott-Chern diamond"),
+             "a": ("h_a", "Aeppli diamond"),
+             "dr": ("betti", "Betti numbers")}
 
 
 def cmd_cohomology(args, out):
-    engine = _engine(args)
-    table = engine.cohomology_table()
     theories = (args.theories or "dbar,bc,a,dr").split(",")
-    doc = table.to_dict()
+    for t in theories:
+        if t not in _THEORIES:
+            raise CatalogError("unknown theory %r" % t)
+    table = _engine(args).cohomology_table()
     if args.json:
+        doc = table.to_dict()
         keep = {"model": doc["model"], "n": doc["n"]}
         for t in theories:
-            if t == "dr":
-                keep["betti"] = doc["betti"]
-            elif t in _THEORY_KEYS:
-                keep[_THEORY_KEYS[t]] = doc[_THEORY_KEYS[t]]
-            else:
-                raise CatalogError("unknown theory %r" % t)
+            keep[_THEORIES[t][0]] = doc[_THEORIES[t][0]]
         out.write(json.dumps(keep, indent=2, sort_keys=True) + "\n")
         return 0
-    labels = {"dbar": "Dolbeault", "del": "conjugate Dolbeault",
-              "bc": "Bott-Chern", "a": "Aeppli"}
     for t in theories:
-        if t == "dr":
-            out.write("Betti numbers of %s:\n  %s\n" % (
-                table.model_name,
-                ", ".join("b%d = %d" % (k, b)
-                          for k, b in enumerate(table.betti))))
-        elif t in _THEORY_KEYS:
-            grid = getattr(table, _THEORY_KEYS[t])
-            out.write("%s diamond of %s:\n" % (labels[t], table.model_name))
-            _diamond(table.n, grid, out)
+        field, heading = _THEORIES[t]
+        out.write("%s of %s:\n" % (heading, table.model_name))
+        if field == "betti":
+            out.write("  %s\n" % ", ".join(
+                "b%d = %d" % kb for kb in enumerate(table.betti)))
         else:
-            raise CatalogError("unknown theory %r" % t)
+            _diamond(table.n, getattr(table, field), out)
     return 0
 
 
@@ -199,14 +183,13 @@ def cmd_massey(args, out):
 
 
 def cmd_verify_appendix(args, out):
-    params = _params(args.param)
+    params = catalog.parse_parameters(args.param)
     cases = [args.case] if args.case else list(catalog.APPENDIX_CASES)
     passed = 0
     total = 0
     for case in cases:
-        runs = [params or None]
-        if case == "V.17" and not params:
-            runs = [{"alpha": 1, "beta": 1}, {"alpha": 1, "beta": -1}]
+        runs = (catalog.V17_RUNS if case == "V.17" and not params
+                else [params or None])
         for run in runs:
             total += 1
             ok, report = massey.verify_appendix_case(case, run)
@@ -333,14 +316,8 @@ def run(argv=None, out=None, err=None):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
-    verb = args.verb
-    if verb in ("cohomology", "formality", "massey") \
-            and not (getattr(args, "model", None)
-                     or getattr(args, "file", None)):
-        err.write("error: %s needs --model or --file\n" % verb)
-        return 1
     try:
-        return _HANDLERS[verb](args, out)
+        return _HANDLERS[args.verb](args, out)
     except (AssemblyError, linalg.DimensionMismatch) as e:
         err.write("internal invariant violated: %s\n" % e)
         return 2

@@ -6,7 +6,7 @@ Grammar (line oriented, '#' comments, UTF-8, LF or CRLF):
     gen NAME : (p,q) [odd|even trunc K] [conj NAME | real]
     holo NAME1 ... NAMEk        shorthand: (1,0) generators with
                                 auto-conjugates (p* -> q*, else *_bar)
-    param NAME [= SCALAR]
+    param NAME [= SCALAR]       a value given to `parse` overrides SCALAR
     d NAME = EXPR               split by bidegree into del/dbar parts;
                                 holo generators auto-conjugate
     del NAME = EXPR
@@ -65,7 +65,7 @@ class _Parser:
     def err(self, msg, lineno, col=None):
         raise DslError(msg, lineno, col)
 
-    def run(self):
+    def run(self, parameters=None):
         for lineno, raw in enumerate(self.lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -73,7 +73,18 @@ class _Parser:
             self.statement(line, lineno)
         if self.name is None:
             raise DslError("missing 'algebra NAME dim N' header")
+        self.bind(parameters or {})
         return self.build()
+
+    def bind(self, parameters):
+        """Give declared parameters the values passed in, over their
+        defaults; an undeclared name is refused."""
+        extra = sorted(set(parameters) - set(self.params))
+        if extra:
+            raise DslError("%s takes no parameter %s"
+                           % (self.name, ", ".join(map(repr, extra))))
+        for name, value in parameters.items():
+            self.params[name] = GaussianRational.of(value)
 
     def statement(self, line, lineno):
         head = line.split(None, 1)[0]
@@ -303,9 +314,10 @@ class _Parser:
             self.err("unknown generator %r" % name, lineno)
 
 
-def parse(text):
-    """Parse DSL source into a validated ModelSpec."""
-    return _Parser(text).run()
+def parse(text, parameters=None):
+    """Parse DSL source into a validated ModelSpec; `parameters`
+    {name: value} binds declared `param`s, over their defaults."""
+    return _Parser(text).run(parameters)
 
 
 def parse_expression(spec, text):
@@ -328,8 +340,8 @@ def read_text(path, error=DslError):
                         % (path, e.start, e.reason)) from None
 
 
-def parse_file(path):
-    return parse(read_text(path))
+def parse_file(path, parameters=None):
+    return parse(read_text(path), parameters)
 
 
 # -- printer -----------------------------------------------------------

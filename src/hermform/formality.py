@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict, namedtuple
 
 from .calculus import SHIFT, AssemblyError
-from .linalg import Echelon, Subspace, kernel_basis
+from .linalg import Echelon, Subspace
 from .model import _once
 
 # A notion holds when every product of a left basis form with a right
@@ -253,7 +253,7 @@ def holomorphic_closedness_obstruction(engine):
     for p in range(1, engine.spec.n + 1):
         if not engine.basis(p, 0):
             continue
-        rows = kernel_basis(engine.matrix("dbar", p, 0)).rows
+        rows = engine.harmonic_space("dolbeault", p, 0).space.rows
         for row, image in zip(rows, engine.matrix("del", p, 0).mul_rows(rows)):
             if image:
                 return engine.form(row, p, 0)

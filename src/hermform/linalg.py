@@ -398,17 +398,12 @@ class Projector:
     __slots__ = ("space", "_dual", "_gram_inv")
 
     def __init__(self, space, weights=None):
+        """`weights`: each column's weight as a scalar, ONE for a unit
+        weight; None for all ONE."""
         self.space = space
         rows = space.rows
-        # <v, b_i> = sum_j v_j * dual_i[j]; one scalar per distinct
-        # weight, and no product for a unit weight
-        if weights is None:
-            weights = [ONE] * space.ambient
-        else:
-            scalar = {w: ONE if w == 1 else GaussianRational(w)
-                      for w in set(weights)}
-            weights = [scalar[w] for w in weights]
-        self._dual = _conjugates(rows, weights)
+        # <v, b_i> = sum_j v_j * dual_i[j]; no product for a unit weight
+        self._dual = _conjugates(rows, weights or [ONE] * space.ambient)
         # G[i][j] = <b_j, b_i>: row i sums dual_i[t] times basis column t
         columns = Matrix(len(rows), space.ambient, rows).columns()
         self._gram_inv = _inverse([_combine(dual.items(), columns)
@@ -477,7 +472,8 @@ class MinNormSolver:
 def orthogonal_project(space, v, weights=None):
     """Orthogonal projection of the vector v onto the subspace."""
     space._check_length(v)
-    projector = Projector(space, weights)
+    projector = Projector(space, weights and [
+        ONE if w == 1 else GaussianRational(w) for w in weights])
     return space._row_to_vec(
         projector.combine(projector.coefficients(_sparse(v))))
 

@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from hermform import linalg, model
+from hermform import catalog, linalg, model
 from hermform.cli import paper_notation, run
-from hermform.catalog import engine_for, load
+from hermform.catalog import CatalogError, engine_for, load
 from hermform.obstructions import torus_table
 from hermform.scalars import GaussianRational
 
@@ -382,3 +382,85 @@ def test_pinned_clean_sweeps(model, expected):
     code, out, _ = invoke(["formality", "--model", model, "--ascii"])
     assert code == 0
     assert out == expected
+
+
+def test_parse_parameters_reads_an_int_else_a_scalar_literal():
+    assert catalog.parse_parameters([" u = 1", "v=-1/2", "w=i"]) == {
+        "u": 1, "v": GaussianRational(Fraction(-1, 2)),
+        "w": GaussianRational(0, 1)}
+    assert type(catalog.parse_parameters(["u=1"])["u"]) is int
+    assert catalog.parse_parameters(None) == {}
+    with pytest.raises(CatalogError, match="'u' is not name=value"):
+        catalog.parse_parameters(["u"])
+
+
+@pytest.mark.parametrize("model,params", (
+    ("ce:u=1/2,v=1", []), ("ce:u=1", ["v=1/2"]), ("ce:u=1", ["v=i"]),
+    ("ce:u=1", [])))
+def test_ce_needs_integer_parameters(model, params):
+    """An identifier suffix and --param are read by one parser, so a
+    non-integer ce parameter is the same user error either way."""
+    argv = ["cohomology", "--model", model]
+    for kv in params:
+        argv += ["--param", kv]
+    assert invoke(argv) == (1, "", "error: ce needs integer parameters u "
+                                   "and v\n")
+
+
+KODAIRA = """algebra kodaira dim 2
+holo p1 p2
+param a{}
+d p2 = a*i*p1*q1
+"""
+
+
+def _dsl_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_param_binds_a_dsl_parameter(tmp_path):
+    """--param gives a declared parameter its value, over its default."""
+    bound = _dsl_file(tmp_path, "bound.hf", KODAIRA.format(" = 2"))
+    free = _dsl_file(tmp_path, "free.hf", KODAIRA.format(""))
+    other = _dsl_file(tmp_path, "other.hf", KODAIRA.format(" = 3"))
+    want = invoke(["cohomology", "--json", "--file", bound])
+    assert want[0] == 0
+    for path in (free, other):
+        assert invoke(["cohomology", "--json", "--file", path,
+                       "--param", "a=2"]) == want
+    code, out, err = invoke(["cohomology", "--file", free])
+    assert (code, out) == (1, "")
+    assert "parameter a has no value" in err
+
+
+def test_a_parameter_the_dsl_file_does_not_declare_is_user_error(tmp_path):
+    path = _dsl_file(tmp_path, "k.hf", KODAIRA.format(" = 2"))
+    assert invoke(["cohomology", "--file", path, "--param", "x=1",
+                   "--param", "a=1"]) == (
+        1, "", "error: kodaira takes no parameter 'x'\n")
+
+
+def test_massey_file_reads_the_bound_parameter(tmp_path):
+    path = _dsl_file(tmp_path, "iw.hf", "algebra iw dim 3\nholo p1 p2 p3\n"
+                     "param a\nd p3 = -a*p1*p2\n")
+    model = ["massey", "--file", path, "--param", "a=2", "--b", "q1*q2",
+             "--c", "q1*q2"]
+    code, out, err = invoke(model + ["--a", "a*p1*p2"])
+    assert (code, err) == (0, "")
+    assert "nonzero: yes" in out
+    assert invoke(model + ["--a", "2*p1*p2"]) == (code, out, err)
+
+
+def test_model_and_file_together_is_user_error(tmp_path):
+    path = _dsl_file(tmp_path, "k.hf", KODAIRA.format(" = 2"))
+    assert invoke(["cohomology", "--model", "torus:2", "--file", path]) == (
+        1, "", "error: cohomology needs --model or --file, not both\n")
+
+
+@pytest.mark.parametrize("json_flag", ([], ["--json"]))
+def test_unknown_theory_is_refused_before_any_output(json_flag):
+    code, out, err = invoke(["cohomology", "--model", "torus:2",
+                             "--theories", "dbar,zz"] + json_flag)
+    assert (code, out, err) == (1, "", "error: unknown theory 'zz'\n")

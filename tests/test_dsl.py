@@ -1,5 +1,7 @@
 """DSL parser and canonical printer."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +60,20 @@ d p2 = c * p1*p2
     mono = next(iter(image))
     from hermform.scalars import GaussianRational
     assert image[mono] == GaussianRational(0, 2)
+
+
+def test_given_parameters_bind_declared_params():
+    """A value given to `parse` binds a declared param, over its default,
+    and the model is the one whose source states that value."""
+    source = "algebra pm dim 2\nholo p1 p2\nparam c{}\nd p2 = c * p1*q1\n"
+    want = parse(source.format(" = 1/2"))
+    for default in ("", " = 3"):
+        for value in (Fraction(1, 2), dsl.parse_scalar("1/2")):
+            spec = parse(source.format(default), {"c": value})
+            assert models_equal(spec, want)
+            assert spec.parameters == want.parameters
+    with pytest.raises(DslError, match="pm takes no parameter 'd', 'e'$"):
+        parse(source.format(""), {"e": 1, "c": 1, "d": 1})
 
 
 def test_expression_edge_cases():
