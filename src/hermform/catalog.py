@@ -22,6 +22,8 @@ classical phi^{3 1-2-3-bar} reads p3*q1*q2*q3 here.
 
 from __future__ import annotations
 
+import re
+
 from .calculus import HodgeEngine
 from .model import DiagonalAction, GeneratorSpec, ModelSpec, invariant_submodel
 from .scalars import GaussianRational, I, ONE, parse_scalar
@@ -177,17 +179,16 @@ def example1_action(spec):
 # -- identifier dispatch -----------------------------------------------
 
 def parse_parameters(chunks):
-    """{name: value} from 'name=value' chunks, each value an int, else a
-    Gaussian-rational literal: ['u=1', 'v=1/2'] -> {'u': 1, 'v': 1/2}."""
+    """{name: value} from 'name=value' chunks, each value an int if it is
+    [+-]?[0-9]+, else a Gaussian-rational literal: ['u=1', 'v=1/2'] ->
+    {'u': 1, 'v': 1/2}."""
     out = {}
     for chunk in chunks or ():
         if "=" not in chunk:
             raise CatalogError("parameter %r is not name=value" % chunk)
         name, _, value = (part.strip() for part in chunk.partition("="))
-        try:
-            out[name] = int(value)
-        except ValueError:
-            out[name] = parse_scalar(value)
+        out[name] = (int(value) if re.fullmatch(r"[+-]?[0-9]+", value)
+                     else parse_scalar(value))
     return out
 
 

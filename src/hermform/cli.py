@@ -236,7 +236,7 @@ def cmd_obstruct(args, out):
 
 
 def cmd_parse(args, out):
-    spec = dsl.parse_file(args.file)
+    spec = dsl.parse_file(args.file, catalog.parse_parameters(args.param))
     if args.validate:
         HodgeEngine(spec)  # assembles and checks d^2 = 0
     out.write("ok: %s (n = %d, %d generators)\n"
@@ -292,6 +292,8 @@ def build_parser():
     common(p, model=False)
     p.add_argument("file")
     p.add_argument("--validate", action="store_true")
+    p.add_argument("--param", action="append",
+                   help="parameter k=v (repeatable)")
     return ap
 
 

@@ -12,9 +12,13 @@ Grammar (line oriented, '#' comments, UTF-8, LF or CRLF):
     del NAME = EXPR
     dbar NAME = EXPR
 
-EXPR is a sum of terms COEFF * MON (either part optional), MON a
-'*'-join of NAME['^'INT]; COEFF a Gaussian-rational literal or a
-declared parameter name, with an optional leading sign per term.
+EXPR is a sum of terms COEFF * MON (either part optional), one '+' or
+'-' between two terms and an optional one before the first; MON is a
+'*'-join of NAME['^'INT].  COEFF is a declared parameter name or a
+Gaussian-rational literal: terms [N]i[/D] or N[/D][i] joined by one
+sign each, as in 3, -1/2, 2i, i/2, 2i/3, 1/2i or 1 - 2i.  A sign may
+also open a factor after '*' (p1*-2).  There are no parentheses, and
+two terms side by side ('ii', 'i 1/2', 'p1 p2') are refused.
 """
 
 from __future__ import annotations
@@ -22,20 +26,17 @@ from __future__ import annotations
 import re
 
 from .model import GeneratorSpec, ModelError, ModelSpec
-from .scalars import GaussianRational, ONE, ScalarLiteralError, parse_scalar
+from .scalars import (GaussianRational, ScalarLiteralError, parse_scalar,
+                      signed_terms)
 
 
 class DslError(ValueError):
-    """Parse or validation failure, with position info."""
+    """Parse or validation failure, with its line number if it has one."""
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = " (line %d%s)" % (
-                line, ", column %d" % column if column is not None else "")
-        super().__init__(message + where)
+        super().__init__(message if line is None
+                         else "%s (line %d)" % (message, line))
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -58,12 +59,11 @@ class _Parser:
         self.gens = []          # GeneratorSpec list
         self.holo = set()       # names declared via `holo`
         self.params = {}        # name -> scalar or None
-        self.raw_del = {}       # name -> (lineno, expr text)
-        self.raw_dbar = {}
-        self.raw_d = {}
+        # op -> {name: (lineno, expr text)}
+        self.raw = {"d": {}, "del": {}, "dbar": {}}
 
-    def err(self, msg, lineno, col=None):
-        raise DslError(msg, lineno, col)
+    def err(self, msg, lineno):
+        raise DslError(msg, lineno)
 
     def run(self, parameters=None):
         for lineno, raw in enumerate(self.lines, 1):
@@ -124,8 +124,7 @@ class _Parser:
             m = re.match(r"(d|del|dbar)\s+(\S+)\s*=\s*(.*)$", line)
             if not m:
                 self.err("malformed differential line", lineno)
-            store = {"d": self.raw_d, "del": self.raw_del,
-                     "dbar": self.raw_dbar}[m.group(1)]
+            store = self.raw[m.group(1)]
             if m.group(2) in store:
                 self.err("duplicate %s for %s" % (m.group(1), m.group(2)),
                          lineno)
@@ -146,36 +145,24 @@ class _Parser:
         name = m.group("name")
         self.check_name(name, lineno)
         p, q = int(m.group("p")), int(m.group("q"))
-        rest = m.group("rest").split()
+        tokens = iter(m.group("rest").split())
         trunc = 2 if (p + q) % 2 else None
         conj = None
-        i = 0
-        while i < len(rest):
-            tok = rest[i]
+        for tok in tokens:
             if tok in ("odd", "even"):
-                want_odd = tok == "odd"
-                if want_odd != bool((p + q) % 2):
+                if (tok == "odd") != bool((p + q) % 2):
                     self.err("parity %r contradicts bidegree" % tok, lineno)
-                if i + 2 <= len(rest) and rest[i + 1] == "trunc":
-                    if i + 2 >= len(rest) or not rest[i + 2].isdigit():
-                        self.err("trunc needs an integer", lineno)
-                    trunc = int(rest[i + 2])
-                    i += 3
-                else:
-                    i += 1
             elif tok == "trunc":
-                if i + 1 >= len(rest) or not rest[i + 1].isdigit():
+                value = next(tokens, "")
+                if not value.isdecimal():
                     self.err("trunc needs an integer", lineno)
-                trunc = int(rest[i + 1])
-                i += 2
+                trunc = int(value)
             elif tok == "conj":
-                if i + 1 >= len(rest):
+                conj = next(tokens, None)
+                if conj is None:
                     self.err("conj needs a name", lineno)
-                conj = rest[i + 1]
-                i += 2
             elif tok == "real":
                 conj = name
-                i += 1
             else:
                 self.err("unexpected token %r in gen line" % tok, lineno)
         if trunc is None:
@@ -191,42 +178,11 @@ class _Parser:
 
     def parse_expr(self, spec, text, lineno):
         total = spec.zero()
-        pos = 0
-        n = len(text)
-        first = True
-        while pos < n:
-            while pos < n and text[pos].isspace():
-                pos += 1
-            if pos >= n:
-                break
-            sign = 1
-            if text[pos] in "+-":
-                if text[pos] == "-":
-                    sign = -1
-                pos += 1
-            elif not first:
-                self.err("expected '+' or '-'", lineno, pos + 1)
-            first = False
-            term_end = pos
-            depth = 0
-            while term_end < n:
-                c = text[term_end]
-                if c in "+-" and depth == 0 and term_end > pos:
-                    back = term_end - 1
-                    while back >= pos and text[back].isspace():
-                        back -= 1
-                    if back >= pos and text[back] not in "*^/(":
-                        break
-                if c == "(":
-                    depth += 1
-                if c == ")":
-                    depth -= 1
-                term_end += 1
-            term = text[pos:term_end].strip()
+        for sign, term in signed_terms(text):
+            term = term.strip()
             if not term:
-                self.err("empty term", lineno, pos + 1)
+                self.err("empty term", lineno)
             total = total + self.parse_term(spec, term, lineno) * sign
-            pos = term_end
         return total
 
     def parse_term(self, spec, term, lineno):
@@ -240,7 +196,7 @@ class _Parser:
             if base in spec.index:
                 e = 1
                 if exp:
-                    if not exp.strip().isdigit():
+                    if not exp.strip().isdecimal():
                         self.err("bad exponent %r" % exp, lineno)
                     e = int(exp)
                 g = spec.gen(base)
@@ -280,13 +236,12 @@ class _Parser:
                 self.err("conflicting assignment for %s" % name, lineno)
             store[name] = form
 
-        for name, (lineno, text) in self.raw_del.items():
-            self.check_target(skeleton, name, lineno)
-            put(del_a, name, self.parse_expr(skeleton, text, lineno), lineno)
-        for name, (lineno, text) in self.raw_dbar.items():
-            self.check_target(skeleton, name, lineno)
-            put(dbar_a, name, self.parse_expr(skeleton, text, lineno), lineno)
-        for name, (lineno, text) in self.raw_d.items():
+        for op, store in (("del", del_a), ("dbar", dbar_a)):
+            for name, (lineno, text) in self.raw[op].items():
+                self.check_target(skeleton, name, lineno)
+                put(store, name, self.parse_expr(skeleton, text, lineno),
+                    lineno)
+        for name, (lineno, text) in self.raw["d"].items():
             self.check_target(skeleton, name, lineno)
             form = self.parse_expr(skeleton, text, lineno)
             g = skeleton.generator(name)
@@ -365,21 +320,11 @@ def _print_image(spec, image):
     """One {monomial: scalar} image as a nonempty EXPR."""
     pieces = []
     for mono in sorted(image):
-        factors = []
-        for e, g in zip(mono, spec.generators):
-            if e == 1:
-                factors.append(g.name)
-            elif e > 1:
-                factors.append("%s^%d" % (g.name, e))
-        mono_text = "*".join(factors) if factors else None
+        mono_text = spec.pretty_monomial(mono) if any(mono) else None
         pieces.extend(_print_scalar_term(image[mono], mono_text))
-    out = []
-    for i, (sign, body) in enumerate(pieces):
-        if i == 0:
-            out.append(body if sign == "+" else "-" + body)
-        else:
-            out.append("%s %s" % (sign, body))
-    return " ".join(out)
+    (sign, body), rest = pieces[0], pieces[1:]
+    return " ".join([body if sign == "+" else "-" + body]
+                    + ["%s %s" % piece for piece in rest])
 
 
 def print_model(spec):

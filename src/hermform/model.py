@@ -118,6 +118,10 @@ class ModelSpec:
             if gc.bidegree != (q, p):
                 raise ModelError("conjugate of %s has bidegree %s, want %s"
                                  % (g.name, gc.bidegree, (q, p)))
+            if gc.truncation != g.truncation:
+                raise ModelError(
+                    "%s and its conjugate %s have truncations %d and %d"
+                    % (g.name, gc.name, g.truncation, gc.truncation))
             if g.conjugate == g.name and p != q:
                 raise ModelError("self-conjugate generator %s needs p = q"
                                  % g.name)
@@ -443,37 +447,24 @@ def _merge_monomials(spec, ma, mb):
 
 
 def _conjugate_monomial(spec, mono):
-    """Conjugate a canonical monomial: permute generators and re-sort.
+    """Conjugate a canonical monomial: (monomial, sign).
 
-    Returns (monomial, sign); the sign counts odd-odd transpositions
-    needed to bring the conjugated factor sequence back to declaration
-    order.
+    Conjugation permutes the generators and keeps truncations, so each
+    exponent moves to the conjugate's position; the sign counts the
+    pairs of odd factors, each present at most once, whose order that
+    reverses.
     """
     gens = spec.generators
-    # factor sequence of conjugated monomial, in the order inherited from
-    # the original: each factor is the conjugate generator index
-    seq = []
+    out = [0] * len(gens)
+    odd = []                # conjugate positions of odd factors, in order
     for i, e in enumerate(mono):
         if e:
             j = spec.index[gens[i].conjugate]
-            seq.extend([j] * e)
-    # bubble sort counting odd-odd swaps
-    sign = 0
-    seq = list(seq)
-    for a in range(len(seq)):
-        for b in range(len(seq) - 1 - a):
-            if seq[b] > seq[b + 1]:
-                if gens[seq[b]].odd and gens[seq[b + 1]].odd:
-                    sign += 1
-                seq[b], seq[b + 1] = seq[b + 1], seq[b]
-    out = [0] * len(gens)
-    for j in seq:
-        out[j] += 1
-        if out[j] >= gens[j].truncation:
-            # conjugate generator pairs share truncations, so this
-            # cannot happen for a valid monomial
-            raise ModelError("conjugation violates a truncation")
-    return tuple(out), (-1 if sign % 2 else 1)
+            out[j] = e
+            if gens[j].odd:
+                odd.append(j)
+    swaps = sum(a > b for k, a in enumerate(odd) for b in odd[k + 1:])
+    return tuple(out), (-1 if swaps % 2 else 1)
 
 
 @dataclass(frozen=True)

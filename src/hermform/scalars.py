@@ -207,55 +207,42 @@ ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
-_TERM = re.compile(
-    r"(?=[0-9i.])"          # nonempty
-    r"(?P<num>[0-9]+(?:/[0-9]*[1-9][0-9]*)?)?"  # no zero denominator
-    r"(?P<i>i)?"
-)
+# The grammar of a sum of terms, shared with `dsl`: the text is cut at
+# each sign whose last non-blank predecessor is not one of * ^ / ( + -,
+# so a body takes a sign only after one of those.
+_SIGNED_TERM = re.compile(
+    r"(?!\s*\Z)\s*([+-]?)((?:\s*[+-])*(?:[^-+*^/(]|[*^/(](?:\s*[+-])*)*)")
+
+# An unsigned literal term: [N] i [/D] or N [/D] [i], with D nonzero.
+_LITERAL = re.compile(r"(?=[0-9i])(?P<num>[0-9]*)(?P<i>i)?"
+                      r"(?:/(?P<den>[0-9]*[1-9][0-9]*))?(?(i)|(?P<j>i)?)")
 
 
 class ScalarLiteralError(ValueError):
     """A malformed Gaussian-rational literal."""
 
 
+def signed_terms(text):
+    """[(sign, body)] of a sum, sign 1 or -1; blank text has no terms."""
+    return [(-1 if sign == "-" else 1, body)
+            for sign, body in _SIGNED_TERM.findall(text)]
+
+
 def parse_scalar(text):
     """Parse a Gaussian-rational literal: '-2', 'i', '3/2', '1-2i', '-i/2'.
 
-    Raises ScalarLiteralError on malformed input, a zero denominator
-    included.
+    Terms are joined by one sign each, and spaces inside a term are
+    ignored.  Raises ScalarLiteralError on malformed input, a zero
+    denominator included.
     """
-    s = text.replace(" ", "")
-    if not s:
+    terms = signed_terms(text)
+    if not terms:
         raise ScalarLiteralError("empty scalar literal")
-    result = GaussianRational(0)
-    pos = 0
-    n = len(s)
-    any_term = False
-    while pos < n:
-        sign = 1
-        while pos < n and s[pos] in "+-":
-            if s[pos] == "-":
-                sign = -sign
-            pos += 1
-        m = _TERM.match(s, pos)
-        if m is None or (m.group("num") is None and m.group("i") is None):
+    result = ZERO
+    for sign, body in terms:
+        m = _LITERAL.fullmatch(body.replace(" ", ""))
+        if m is None:
             raise ScalarLiteralError("bad scalar literal: %r" % text)
-        pos = m.end()
-        num = m.group("num")
-        is_i = m.group("i") is not None
-        # allow 'i/2' (denominator after the i)
-        if is_i and pos < n and s[pos] == "/":
-            m2 = re.match(r"/([0-9]*[1-9][0-9]*)", s[pos:])
-            if m2 is None:
-                raise ScalarLiteralError("bad scalar literal: %r" % text)
-            num = "%s/%s" % (num or "1", m2.group(1))
-            pos += m2.end()
-        value = Fraction(num) if num is not None else Fraction(1)
-        if is_i:
-            result = result + GaussianRational(0, sign * value)
-        else:
-            result = result + GaussianRational(sign * value)
-        any_term = True
-    if not any_term:
-        raise ScalarLiteralError("bad scalar literal: %r" % text)
+        value = Fraction(sign * int(m["num"] or 1), int(m["den"] or 1))
+        result += GaussianRational(0, value) if m["i"] or m["j"] else value
     return result

@@ -464,3 +464,57 @@ def test_unknown_theory_is_refused_before_any_output(json_flag):
     code, out, err = invoke(["cohomology", "--model", "torus:2",
                              "--theories", "dbar,zz"] + json_flag)
     assert (code, out, err) == (1, "", "error: unknown theory 'zz'\n")
+
+
+def _model_file(tmp_path, text):
+    path = tmp_path / "m.alg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["cohomology", "--model", "ce:u=1,v=1", "--param", "u=3/2i/5"], None),
+    (["cohomology", "--file"],
+     "algebra x dim 2\nholo p1 p2\nd p2 = 3/2i/5*p1*q1\n"),
+    (["parse"], "algebra x dim 1\ngen w : (1,1) even trunc \u00b2 real\n"),
+    (["parse"], "algebra x dim 1\nholo p1\nd p1 = p1^\u00b2\n"),
+], ids=["param-literal", "dsl-literal", "trunc-digit", "exponent-digit"])
+def test_typed_input_is_a_user_error(tmp_path, argv, text):
+    """A malformed literal, digit or exponent exits 1 with one error
+    line, not 2 as an internal fault."""
+    if text is not None:
+        argv = argv + [_model_file(tmp_path, text)]
+    code, out, err = invoke(argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parse_takes_params(tmp_path):
+    path = _model_file(tmp_path, "algebra pa dim 2\nholo p1 p2\nparam a\n"
+                                 "d p2 = a*i*p1*q1\n")
+    code, out, _ = invoke(["parse", path, "--validate", "--param", "a=1"])
+    assert code == 0 and out == "ok: pa (n = 2, 4 generators)\n"
+    code, _, err = invoke(["parse", path, "--validate"])
+    assert code == 1 and "parameter a has no value" in err
+    code, _, err = invoke(["parse", path, "--param", "b=1"])
+    assert code == 1 and "pa takes no parameter 'b'" in err
+
+
+def test_conjugates_share_a_truncation(tmp_path):
+    """conj(a^2) = b^2 = 0 with a^2 != 0 would make conjugation no
+    algebra map."""
+    path = _model_file(tmp_path, "algebra t dim 3\n"
+                                 "gen a : (1,1) even trunc 3 conj b\n"
+                                 "gen b : (1,1) even trunc 2 conj a\n")
+    code, _, err = invoke(["parse", path, "--validate"])
+    assert code == 1
+    assert "a and its conjugate b have truncations 3 and 2" in err
+
+
+def test_param_reads_an_int_only_from_ascii_digits():
+    assert catalog.parse_parameters(["u=-3", "v=+07"]) == {"u": -3, "v": 7}
+    code, _, err = invoke(["cohomology", "--model", "ce:u=1_0,v=1"])
+    assert code == 1 and "bad scalar literal: '1_0'" in err
+    code, _, err = invoke(["cohomology", "--model", "ce:u=1,v=1",
+                           "--param", "v=\u0663"])
+    assert code == 1 and "bad scalar literal" in err

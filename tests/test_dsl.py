@@ -1,9 +1,10 @@
 """DSL parser and canonical printer."""
 
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hermform import catalog, dsl
 from hermform.dsl import DslError, models_equal, parse, print_model
@@ -194,3 +195,58 @@ def test_parameter_named_like_a_generator_is_refused():
                 "algebra m dim 1\nparam q1 = 2\nholo p1\n"):
         with pytest.raises(DslError, match="parameter .1 is also a generator"):
             parse(src)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("p1*-2", "-2*p1"),
+    ("p1 + -2*p2", "p1 - 2*p2"),
+    ("- i/2 * p1", "p1 * -1/2i"),
+    ("2 * p1^1 - 1/2i*p2", "-i/2*p2 + p1*2"),
+])
+def test_a_sign_opens_a_term_or_a_factor_after_an_operator(text, want):
+    spec = catalog.nakamura("III.2")
+    assert dsl.parse_expression(spec, text).equals(
+        dsl.parse_expression(spec, want))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("2*-p1", "bad literal '-p1'"),
+    ("ii*p1", "bad literal 'ii'"),
+    ("i 1/2*p1", "bad literal 'i 1/2'"),
+    ("3/2i/5*p1", "bad literal '3/2i/5'"),
+    ("p1 +", "empty term"),
+    ("p1^²", "bad exponent"),
+    ("(p1)", "bad literal '(p1)'"),
+])
+def test_expressions_outside_the_grammar_are_refused(text, fragment):
+    with pytest.raises(DslError, match=re.escape(fragment)):
+        dsl.parse_expression(catalog.nakamura("III.2"), text)
+
+
+def test_truncation_takes_decimal_digits_only():
+    with pytest.raises(DslError, match="trunc needs an integer"):
+        parse("algebra x dim 1\ngen w : (1,1) even trunc ² real\n")
+
+
+EXPR_TOKENS = ("p1", "q1", "c", "i", "2", "1/2", "²", "^", "*", "+", "-",
+               "(", ")", "/", " ")
+
+
+def test_fuzzed_expressions_fail_only_as_dsl_errors():
+    parsed = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None,
+              database=None)
+    @given(st.lists(st.sampled_from(EXPR_TOKENS), max_size=8).map("".join))
+    @example("3/2i/5*p1*q1")
+    @example("p1^²*q1")
+    def check(expr):
+        try:
+            parse("algebra m dim 2\nholo p1 p2\nparam c = 2i\n"
+                  "d p2 = %s\n" % expr)
+        except DslError:
+            return
+        parsed.append(expr)
+
+    check()
+    assert parsed

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hermform.scalars import GaussianRational, I, ONE, ZERO, parse_scalar
+from hermform.scalars import ScalarLiteralError, signed_terms
 
 
 def rand_scalar(rng):
@@ -190,3 +192,55 @@ def test_every_attribute_is_read_only():
         with pytest.raises(AttributeError):
             setattr(a, name, 5)
     assert a == GaussianRational(1, 2)
+
+
+# Each term is [N]i[/D] or N[/D][i], and terms are joined by one sign:
+# side-by-side terms, runs of signs and a second '/' are refused.
+@pytest.mark.parametrize("text", [
+    "ii", "i2", "i 1/2", "3i1/2", "--1", "1--2", "+-i", "3/2i/5", "1/2/3",
+    "i/0", "1/0i", "²", "1_0", "٣",
+])
+def test_parse_scalar_refuses_what_the_grammar_does_not_state(text):
+    with pytest.raises(ScalarLiteralError, match="bad scalar literal"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("1/2i", GaussianRational(0, Fraction(1, 2))),
+    ("2i/3", GaussianRational(0, Fraction(2, 3))),
+    ("i/2", GaussianRational(0, Fraction(1, 2))),
+    ("-i/2", GaussianRational(0, Fraction(-1, 2))),
+    ("1 - 2 i", GaussianRational(1, -2)),
+    ("1+i", GaussianRational(1, 1)),
+    (" + 3 / 4 ", GaussianRational(Fraction(3, 4))),
+])
+def test_parse_scalar_reads_each_stated_form(text, want):
+    assert parse_scalar(text) == want
+
+
+def test_signed_terms_cut_only_after_an_operand():
+    assert signed_terms("") == signed_terms(" ") == []
+    assert signed_terms("-") == [(-1, "")]
+    assert signed_terms("p1*-2 + -3 * p2 - q1^2") == [
+        (1, "p1*-2 "), (1, " -3 * p2 "), (-1, " q1^2")]
+    assert signed_terms("--1") == [(-1, "-1")]
+    assert signed_terms("1 - 2i") == [(1, "1 "), (-1, " 2i")]
+
+
+def test_fuzzed_literals_fail_only_as_literal_errors_and_round_trip():
+    read = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              database=None)
+    @given(st.text(alphabet="0123456789i/+-² ", max_size=8))
+    @example("1/2i/3")
+    def check(text):
+        try:
+            value = parse_scalar(text)
+        except ScalarLiteralError:
+            return
+        read.append(value)
+        assert parse_scalar(str(value)) == value, text
+
+    check()
+    assert len(read) > 10
