@@ -29,7 +29,7 @@ from operator import add, sub
 from . import linalg
 from .linalg import Matrix
 from .model import Form, ModelError, _merge_monomials, _once
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import GaussianRational, ONE
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
@@ -93,8 +93,7 @@ def apply_derivation(spec, op, form):
     table = spec._leibniz_table(op)
     out = {}
     for mono, coeff in form.components.items():
-        for m, c in _derive_monomial(table, mono).items():
-            out[m] = out.get(m, ZERO) + coeff * c
+        linalg.axpy(out, coeff, _derive_monomial(table, mono))
     return Form(spec, out)
 
 

@@ -84,8 +84,18 @@ def _engine(args):
                            % (args.verb, ", not both" if args.model else ""))
     params = catalog.parse_parameters(args.param)
     if args.file:
-        return HodgeEngine(dsl.parse_file(args.file, params))
+        return _file_engine(args.file, params)
     return catalog.engine(args.model, params)
+
+
+def _file_engine(path, params):
+    """The engine of a DSL file.  Building it checks d^2 = 0, and a file
+    that fails is the user's error: a DslError that names the file."""
+    spec = dsl.parse_file(path, params)
+    try:
+        return HodgeEngine(spec)
+    except AssemblyError as e:
+        raise DslError("%s: %s" % (path, e)) from None
 
 
 # -- verbs -------------------------------------------------------------
@@ -236,9 +246,9 @@ def cmd_obstruct(args, out):
 
 
 def cmd_parse(args, out):
-    spec = dsl.parse_file(args.file, catalog.parse_parameters(args.param))
-    if args.validate:
-        HodgeEngine(spec)  # assembles and checks d^2 = 0
+    params = catalog.parse_parameters(args.param)
+    spec = (_file_engine(args.file, params).spec if args.validate
+            else dsl.parse_file(args.file, params))
     out.write("ok: %s (n = %d, %d generators)\n"
               % (spec.name, spec.n, len(spec.generators)))
     return 0

@@ -17,8 +17,10 @@ EXPR is a sum of terms COEFF * MON (either part optional), one '+' or
 '*'-join of NAME['^'INT].  COEFF is a declared parameter name or a
 Gaussian-rational literal: terms [N]i[/D] or N[/D][i] joined by one
 sign each, as in 3, -1/2, 2i, i/2, 2i/3, 1/2i or 1 - 2i.  A sign may
-also open a factor after '*' (p1*-2).  There are no parentheses, and
-two terms side by side ('ii', 'i 1/2', 'p1 p2') are refused.
+also open a factor after '*' (p1*-2).  Blanks may stand around '/',
+before an 'i' and at either end of a literal term, never inside a run
+of digits.  There are no parentheses, and two terms side by side ('ii',
+'i 1/2', '1 2', 'p1 p2') are refused.
 """
 
 from __future__ import annotations
@@ -225,7 +227,9 @@ class _Parser:
             if g.name in self.params:
                 raise DslError("parameter %s is also a generator" % g.name)
         try:
-            skeleton = ModelSpec(self.name, self.n, self.gens)
+            spec = ModelSpec(
+                self.name, self.n, self.gens, parameters={
+                    k: v for k, v in self.params.items() if v is not None})
         except ModelError as e:
             raise DslError(str(e))
         del_a = {}
@@ -238,13 +242,12 @@ class _Parser:
 
         for op, store in (("del", del_a), ("dbar", dbar_a)):
             for name, (lineno, text) in self.raw[op].items():
-                self.check_target(skeleton, name, lineno)
-                put(store, name, self.parse_expr(skeleton, text, lineno),
-                    lineno)
+                self.check_target(spec, name, lineno)
+                put(store, name, self.parse_expr(spec, text, lineno), lineno)
         for name, (lineno, text) in self.raw["d"].items():
-            self.check_target(skeleton, name, lineno)
-            form = self.parse_expr(skeleton, text, lineno)
-            g = skeleton.generator(name)
+            self.check_target(spec, name, lineno)
+            form = self.parse_expr(spec, text, lineno)
+            g = spec.generator(name)
             p, q = g.bidegree
             dpart = form.component_of_bidegree(p + 1, q)
             bpart = form.component_of_bidegree(p, q + 1)
@@ -258,14 +261,13 @@ class _Parser:
                 put(dbar_a, cname, dpart.conjugate(), lineno)
                 put(del_a, cname, bpart.conjugate(), lineno)
         try:
-            return ModelSpec(
-                self.name, self.n, self.gens, del_a, dbar_a,
-                {k: v for k, v in self.params.items() if v is not None})
+            spec._set_differentials(del_a, dbar_a)
         except ModelError as e:
             raise DslError(str(e))
+        return spec
 
-    def check_target(self, skeleton, name, lineno):
-        if name not in skeleton.index:
+    def check_target(self, spec, name, lineno):
+        if name not in spec.index:
             self.err("unknown generator %r" % name, lineno)
 
 

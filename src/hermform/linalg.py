@@ -15,7 +15,9 @@ operations only: a row that reduces to one entry is kept as {c: 1}, and
 a unit row clears its column from a residual or from the kept rows by
 deleting it.  A column not yet in a row costs no addition: the product
 is stored as it is, unless it is zero (a row may hold an explicit zero,
-as rows built with a zero weight do).
+as rows built with a zero weight do).  `axpy`, and `_combine` over a
+list of rows, are the one sparse sum that keeps that rule; products,
+projections, derivations and wedges all accumulate through them.
 
 Hermitian inner products are diagonal with positive rational weights and
 conjugate-linear in the second argument throughout.
@@ -59,38 +61,22 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows_list, cols=None):
         """Build from dense row lists."""
-        rows = len(rows_list)
         if cols is None:
             cols = max((len(r) for r in rows_list), default=0)
-        m = cls(rows, cols)
-        for i, row in enumerate(rows_list):
-            for j, v in enumerate(row):
-                v = GaussianRational.of(v)
-                if v:
-                    m.data[i][j] = v
-        return m
+        return cls(len(rows_list), cols, [_sparse(r) for r in rows_list])
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("matrix has %d cols, vector has %d entries"
                                     % (self.cols, len(v)))
-        out = []
-        for row in self.data:
-            acc = ZERO
-            for j, a in row.items():
-                if v[j]:
-                    acc = acc + a * v[j]
-            out.append(acc)
-        return out
+        out = self.mul_rows([_sparse(v)])[0]
+        return [out.get(i, ZERO) for i in range(self.rows)]
 
     def matmul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
-        out = Matrix(self.rows, other.cols)
-        for row, acc in zip(self.data, out.data):
-            for k, a in row.items():
-                axpy(acc, a, other.data[k])
-        return out
+        return Matrix(self.rows, other.cols,
+                      [_combine(row.items(), other.data) for row in self.data])
 
     def columns(self):
         """The columns as sparse rows {row index: scalar}, built on the
@@ -390,9 +376,9 @@ def _inverse(rows, name):
 class Projector:
     """Weighted orthogonal projection onto a fixed subspace.
 
-    Factored once: keeps the weighted conjugate of each basis row and
-    the inverse of the basis Gram matrix, so a projection costs one
-    sparse dot product per basis vector and one k x k product.
+    Factored once: keeps the weighted conjugates of the basis rows by
+    column and the inverse of the transposed basis Gram matrix, so a
+    projection costs one sparse product with each of them.
     """
 
     __slots__ = ("space", "_dual", "_gram_inv")
@@ -402,32 +388,20 @@ class Projector:
         weight; None for all ONE."""
         self.space = space
         rows = space.rows
-        # <v, b_i> = sum_j v_j * dual_i[j]; no product for a unit weight
-        self._dual = _conjugates(rows, weights or [ONE] * space.ambient)
-        # G[i][j] = <b_j, b_i>: row i sums dual_i[t] times basis column t
-        columns = Matrix(len(rows), space.ambient, rows).columns()
-        self._gram_inv = _inverse([_combine(dual.items(), columns)
-                                   for dual in self._dual], "Gram")
+        # <v, b_i> = sum_t v_t * dual[t][i]; no product for a unit weight
+        self._dual = Matrix(len(rows), space.ambient, _conjugates(
+            rows, weights or [ONE] * space.ambient)).columns()
+        # row j of G^T, G[i][j] = <b_j, b_i>, sums b_j[t] times dual[t];
+        # row i of its inverse is column i of G^-1
+        self._gram_inv = _inverse([_combine(b.items(), self._dual)
+                                   for b in rows], "Gram")
 
     def coefficients(self, row):
         """Coefficients on space.rows of the projection of the sparse row
-        {column: scalar}; each dot product starts from its first term."""
-        rhs = []
-        for dual in self._dual:
-            acc = None
-            for j, a in row.items():
-                d = dual.get(j)
-                if d is not None:
-                    acc = a * d if acc is None else acc + a * d
-            rhs.append(ZERO if acc is None else acc)
-        coeffs = []
-        for inv in self._gram_inv:
-            acc = None
-            for j, a in inv.items():
-                if rhs[j]:
-                    acc = a * rhs[j] if acc is None else acc + a * rhs[j]
-            coeffs.append(ZERO if acc is None else acc)
-        return coeffs
+        {column: scalar}, as a list."""
+        rhs = _combine(row.items(), self._dual)
+        coeffs = _combine(rhs.items(), self._gram_inv)
+        return [coeffs.get(i, ZERO) for i in range(len(self._gram_inv))]
 
     def combine(self, coeffs):
         """The sparse row with the given coefficients on space.rows."""

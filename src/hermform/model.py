@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from math import prod
 
+from .linalg import axpy
 from .scalars import GaussianRational, ZERO, ONE
 
 __all__ = [
@@ -92,9 +93,7 @@ class ModelSpec:
         self.parameters = dict(parameters or {})
         self._memo = defaultdict(dict)
         self._validate_generators()
-        self.differentials = {"del": self._coerce_images(del_images or {}),
-                              "dbar": self._coerce_images(dbar_images or {})}
-        self._validate_differentials()
+        self._set_differentials(del_images or {}, dbar_images or {})
 
     # -- validation ---------------------------------------------------
 
@@ -131,20 +130,22 @@ class ModelSpec:
                              % (self.n, self.n, len(vol)))
         self.volume_monomial = vol[0]
 
-    def _coerce_images(self, raw):
-        out = {}
-        for name, value in raw.items():
-            if name not in self.index:
-                raise ModelError("assignment on unknown generator %r" % name)
-            image = (value if isinstance(value, Form)
-                     else Form(self, value)).components
-            if image:
-                out[name] = image
-        return out
-
-    def _validate_differentials(self):
-        for op, (dp, dq) in (("del", (1, 0)), ("dbar", (0, 1))):
-            for name, image in self.differentials[op].items():
+    def _set_differentials(self, del_images, dbar_images):
+        """Take the images of both differentials, as dicts or Forms, and
+        check them.  The Leibniz tables are built from them on first
+        read, so nothing reads one before this call."""
+        self.differentials = {}
+        for op, raw, (dp, dq) in (("del", del_images, (1, 0)),
+                                  ("dbar", dbar_images, (0, 1))):
+            images = self.differentials[op] = {}
+            for name, value in raw.items():
+                if name not in self.index:
+                    raise ModelError("assignment on unknown generator %r"
+                                     % name)
+                image = (value if isinstance(value, Form)
+                         else Form(self, value)).components
+                if image:
+                    images[name] = image
                 p, q = self.generator(name).bidegree
                 want = (p + dp, q + dq)
                 for mono in image:
@@ -347,31 +348,23 @@ class Form:
         spec = self.spec
         out = {}
         for ma, ca in self.components.items():
+            # for a fixed left factor the products are distinct monomials
+            row = {}
             for mb, cb in other.components.items():
                 mono, sign = _merge_monomials(spec, ma, mb)
-                if mono is None:
-                    continue
-                c = ca * cb
-                if sign < 0:
-                    c = -c
-                v = out.get(mono, ZERO) + c
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
+                if mono is not None:
+                    row[mono] = cb if sign > 0 else -cb
+            axpy(out, ca, row)
         return Form(spec, out)
 
     def conjugate(self):
+        # conjugation permutes monomials, so no two terms meet
         spec = self.spec
         out = {}
         for mono, coeff in self.components.items():
             cmono, sign = _conjugate_monomial(spec, mono)
             c = coeff.conjugate()
-            if sign < 0:
-                c = -c
-            v = out.get(cmono, ZERO) + c
-            if v:
-                out[cmono] = v
+            out[cmono] = c if sign > 0 else -c
         return Form(spec, out)
 
     def component_of_bidegree(self, p, q):

@@ -47,7 +47,11 @@ class DimTable:
         for k, b in (betti or {}).items():
             if b is None:
                 continue
-            self.betti[int(k)] = _count(b, "Betti number b_%d" % k)
+            k = int(k)
+            if not 0 <= k <= 2 * n:
+                raise TableError("Betti index %d is outside 0..%d"
+                                 % (k, 2 * n))
+            self.betti[k] = _count(b, "Betti number b_%d" % k)
         for label, table in (("h_bc", self.h_bc), ("h_a", self.h_a)):
             for (p, q), v in table.items():
                 w = table.get((q, p))
@@ -61,7 +65,11 @@ class DimTable:
         for (p, q), v in (table or {}).items():
             if v is None:
                 continue
-            out[(int(p), int(q))] = _count(v, "entry at (%d,%d)" % (p, q))
+            p, q = int(p), int(q)
+            if not (0 <= p <= self.n and 0 <= q <= self.n):
+                raise TableError("cell (%d,%d) is outside 0..%d"
+                                 % (p, q, self.n))
+            out[(p, q)] = _count(v, "entry at (%d,%d)" % (p, q))
         return out
 
     # -- JSON ----------------------------------------------------------

@@ -214,8 +214,11 @@ _SIGNED_TERM = re.compile(
     r"(?!\s*\Z)\s*([+-]?)((?:\s*[+-])*(?:[^-+*^/(]|[*^/(](?:\s*[+-])*)*)")
 
 # An unsigned literal term: [N] i [/D] or N [/D] [i], with D nonzero.
-_LITERAL = re.compile(r"(?=[0-9i])(?P<num>[0-9]*)(?P<i>i)?"
-                      r"(?:/(?P<den>[0-9]*[1-9][0-9]*))?(?(i)|(?P<j>i)?)")
+# Blanks may stand around '/', before an 'i' and at either end, never
+# inside a run of digits.
+_LITERAL = re.compile(r" *(?=[0-9i])(?P<num>[0-9]*) *(?P<i>i)?"
+                      r"(?: */ *(?P<den>[0-9]*[1-9][0-9]*))?"
+                      r"(?(i)| *(?P<j>i)?) *")
 
 
 class ScalarLiteralError(ValueError):
@@ -231,16 +234,17 @@ def signed_terms(text):
 def parse_scalar(text):
     """Parse a Gaussian-rational literal: '-2', 'i', '3/2', '1-2i', '-i/2'.
 
-    Terms are joined by one sign each, and spaces inside a term are
-    ignored.  Raises ScalarLiteralError on malformed input, a zero
-    denominator included.
+    Terms are joined by one sign each.  Spaces may stand around '/',
+    before an 'i' and at either end of a term, but not between two
+    digits, so '1 2' is refused.  Raises ScalarLiteralError on malformed
+    input, a zero denominator included.
     """
     terms = signed_terms(text)
     if not terms:
         raise ScalarLiteralError("empty scalar literal")
     result = ZERO
     for sign, body in terms:
-        m = _LITERAL.fullmatch(body.replace(" ", ""))
+        m = _LITERAL.fullmatch(body)
         if m is None:
             raise ScalarLiteralError("bad scalar literal: %r" % text)
         value = Fraction(sign * int(m["num"] or 1), int(m["den"] or 1))

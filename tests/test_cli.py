@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hermform import catalog, linalg, model
+from hermform.calculus import AssemblyError, HodgeEngine
 from hermform.cli import paper_notation, run
 from hermform.catalog import CatalogError, engine_for, load
 from hermform.obstructions import torus_table
@@ -518,3 +519,58 @@ def test_param_reads_an_int_only_from_ascii_digits():
     code, _, err = invoke(["cohomology", "--model", "ce:u=1,v=1",
                            "--param", "v=\u0663"])
     assert code == 1 and "bad scalar literal" in err
+
+
+# d p1 = p2*p3 and d p2 = p4*p5 give del^2 p1 = p3*p4*p5, not 0
+D_SQUARED_NONZERO = ("algebra bad dim 5\nholo p1 p2 p3 p4 p5\n"
+                     "d p1 = p2*p3\nd p2 = p4*p5\n")
+
+
+@pytest.mark.parametrize("argv", (["parse", "--validate"],
+                                  ["cohomology", "--file"],
+                                  ["formality", "--file"]))
+def test_a_file_whose_d_squared_is_not_zero_is_a_user_error(tmp_path, argv):
+    """The file's differential is the user's data, so d^2 != 0 exits 1
+    with one line that names the file, not 2 as a broken invariant."""
+    path = _model_file(tmp_path, D_SQUARED_NONZERO)
+    code, out, err = invoke(argv + [path])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: del^2 != 0 on generator p1" % path)
+    assert err.count("\n") == 1
+
+
+def test_a_later_assembly_fault_on_a_file_still_exits_2(tmp_path,
+                                                        monkeypatch):
+    """Only building the engine is the file's error: a disagreement
+    found afterwards is still a broken invariant."""
+    def broken(self, *args):
+        raise AssemblyError("harmonic routes disagree")
+    monkeypatch.setattr(HodgeEngine, "cohomology_table", broken)
+    path = _model_file(tmp_path, "algebra m dim 3\nholo p1 p2 p3\n"
+                                 "d p3 = -p1*p2\n")
+    code, out, err = invoke(["cohomology", "--file", path])
+    assert (code, out) == (2, "")
+    assert err == "internal invariant violated: harmonic routes disagree\n"
+
+
+def test_blanks_between_digits_in_a_file_are_a_user_error(tmp_path):
+    """'1 2' is two terms side by side, not 12."""
+    path = _model_file(tmp_path, "algebra x dim 2\nholo p1 p2\n"
+                                 "d p2 = 1 2*p1*q1\n")
+    code, out, err = invoke(["cohomology", "--file", path])
+    assert (code, out) == (1, "")
+    assert "bad literal '1 2'" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc,cell", (
+    ('{"n": 1, "h_dbar": [[1,1,0],[1,1,0],[0,0,1]], "betti": [1,2,1,5]}',
+     "cell (0,2) is outside 0..1"),
+    ('{"n": 1, "betti": [1,2,1,5]}', "Betti index 3 is outside 0..2"),
+))
+def test_table_cells_out_of_range_are_user_errors(tmp_path, doc, cell):
+    """A cell with p or q outside 0..n, or a Betti index outside 0..2n,
+    is refused rather than compared with a torus bound of 0."""
+    path = tmp_path / "table.json"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = invoke(["obstruct", "--input", str(path)])
+    assert (code, out, err) == (1, "", "error: %s\n" % cell)

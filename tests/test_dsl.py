@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hermform import catalog, dsl
+from hermform import catalog, dsl, model
 from hermform.dsl import DslError, models_equal, parse, print_model
 
 
@@ -250,3 +250,20 @@ def test_fuzzed_expressions_fail_only_as_dsl_errors():
 
     check()
     assert parsed
+
+
+def test_parse_enumerates_the_monomial_table_once(monkeypatch):
+    """Expressions are parsed against the spec that the parse returns,
+    so each parse builds one monomial table."""
+    calls = []
+    table = model._monomial_table
+
+    def counted(generators):
+        calls.append(len(generators))
+        return table(generators)
+    monkeypatch.setattr(model, "_monomial_table", counted)
+    for ident, params in catalog.default_instances():
+        text = print_model(catalog.load(ident, params))
+        calls.clear()
+        assert print_model(parse(text)) == text
+        assert len(calls) == 1, ident

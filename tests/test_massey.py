@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermform import linalg
+from hermform import linalg, scalars
 from hermform.calculus import HodgeEngine, NotClosedError, apply_derivation
 from hermform.catalog import APPENDIX_CASES, engine_for, load, massey_case
 from hermform.formality import check_formality
@@ -374,3 +374,22 @@ def test_nonzero_product_rules_out_bott_chern_formality_for_any_metric():
         assert not check_formality(engine, "geom_bott_chern").verdict
 
     check()
+
+
+@pytest.mark.parametrize("case,bound", (("V.10", 882), ("IV.3", 94)))
+def test_cold_appendix_products_make_few_scalars(monkeypatch, case, bound):
+    """Work guard on the projection path, which tables never take: a
+    cold appendix product, its projectors and potentials included, makes
+    at most 882 scalars on V.10 and 94 on IV.3.  A projection whose dot
+    products start from ZERO makes 887 and 99."""
+    alpha, beta, gamma, _, engine = massey_case(case)
+    engine = HodgeEngine(engine.spec)
+    made = []
+    make = scalars._make
+
+    def counted_make(a, b, d):
+        made.append(d)
+        return make(a, b, d)
+    monkeypatch.setattr(scalars, "_make", counted_make)
+    triple_abc_massey(engine, alpha, beta, gamma)
+    assert 0 < len(made) <= bound

@@ -127,3 +127,15 @@ def test_from_cohomology_table_adapter():
     assert t.h_dbar == torus_table(2).h_dbar
     assert t.betti == torus_table(2).betti
     assert not analyze(t).fired
+
+
+@pytest.mark.parametrize("table", (
+    {"h_dbar": {(2, 2): 1}}, {"h_bc": {(0, 2): 0}}, {"h_a": {(-1, 0): 1}},
+    {"betti": {3: 5}}, {"betti": {-1: 0}},
+))
+def test_cells_out_of_range_are_refused(table):
+    """In dimension n a cell has p and q in 0..n and a Betti index lies
+    in 0..2n; anything else is a malformed table, whatever its value."""
+    with pytest.raises(TableError, match="outside"):
+        DimTable(1, **table)
+

@@ -244,3 +244,23 @@ def test_fuzzed_literals_fail_only_as_literal_errors_and_round_trip():
 
     check()
     assert len(read) > 10
+
+
+# A blank may stand around '/', before an 'i' and at either end of a
+# term, never between two digits: '1 2' was read as 12.
+@pytest.mark.parametrize("text", ["1 2", "1 2/3", "1/2 3", "1 0i", "1 2i",
+                                  "2/1 0"])
+def test_parse_scalar_refuses_blanks_between_digits(text):
+    with pytest.raises(ScalarLiteralError, match="bad scalar literal"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize("text,want", [
+    ("2 i", GaussianRational(0, 2)),
+    ("1 / 2", GaussianRational(Fraction(1, 2))),
+    ("1 - 2 i", GaussianRational(1, -2)),
+    (" i / 2", GaussianRational(0, Fraction(1, 2))),
+    ("3 / 4 i", GaussianRational(0, Fraction(3, 4))),
+])
+def test_parse_scalar_reads_blanks_between_the_parts_of_a_term(text, want):
+    assert parse_scalar(text) == want
