@@ -29,7 +29,7 @@ from operator import add, sub
 from . import linalg
 from .linalg import Matrix
 from .model import Form, ModelError, _merge_monomials, _once
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, MINUS_ONE, ONE
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
@@ -89,72 +89,45 @@ class NotClosedError(ValueError):
 
 def apply_derivation(spec, op, form):
     """The differential op ("del" or "dbar") of the model on a form: its
-    images of generators extended as a graded derivation."""
-    table = spec._leibniz_table(op)
+    images of generators extended as a graded derivation.  A monomial
+    past a truncation is 0 in the algebra, and so is its image."""
+    terms = {spec._key(m): c for m, c in form.components.items()}
+    terms.pop(None, None)
     out = {}
-    for mono, coeff in form.components.items():
-        linalg.axpy(out, coeff, _derive_monomial(table, mono))
-    return Form(spec, out)
+    for c, image in zip(terms.values(),
+                        _leibniz(spec._derivation_plan(op), list(terms))):
+        linalg.axpy(out, c, image)
+    return Form(spec, {spec._monomial(key): c for key, c in out.items()})
 
 
-def _derive_monomial(table, mono):
-    """The derivation of one basis monomial as {monomial: coeff}: the
-    Leibniz sum over its factors, read off the model's Leibniz table for
-    the operator and no Form built.
-
-    With P[k] the odd degree of the factors before position k, the term
-    c*t of the factor g_i^e lands on mono - e_i + t (unless an exponent
-    of t's support reaches its truncation) as e*c times the sign of
-    left * t * right, left = g_0^m_0 ... g_i^(e-1).  Its parity is
-    s = P[i] + (e-1)*odd_i, plus t_k * (s - P[k+1]) for each odd k < i,
-    where t passes the rest of left, plus t_k * (P[k] - P[i+1]) for each
-    odd k > i+1, where the factors of right before k pass t_k.  Most
-    terms reach a truncation, so each is tested first, and P is built
-    for the first term that does not.
-    """
-    odd, trunc, terms = table
-    prefix = None
-    out = {}
-    for i, e in enumerate(mono):
-        if not e or terms[i] is None:
-            continue
-        for support, c, neg in terms[i]:
-            for k, t, o in support:
-                if mono[k] + t - (k == i) >= trunc[k]:
-                    break
-            else:
-                if prefix is None:
-                    prefix = [0]
-                    for x, o in zip(mono, odd):
-                        prefix.append(prefix[-1] + x * o)
-                base = prefix[i] + (e - 1) * odd[i]
-                after = prefix[i + 1]
-                m = list(mono)
-                m[i] = e - 1
-                parity = base
-                for k, t, o in support:
-                    m[k] += t
-                    if o:
-                        if k < i:
-                            parity += t * (base - prefix[k + 1])
-                        elif k > i + 1:
-                            parity += t * (prefix[k] - after)
-                v = neg if parity % 2 else c
+def _leibniz(plan, keys):
+    """The derivation of the monomials with the given keys, by the
+    model's plan for the operator (see ModelSpec._derivation_plan): per
+    key its image {key: scalar}.  Each term of the plan picks the keys
+    it acts on in one pass, and only those are read."""
+    images = [{} for _ in keys]
+    for field, shift, delta, lift, guard, move, c, neg in plan:
+        for j, k in [(j, k) for j, k in enumerate(keys)
+                     if k & field and not (k + lift) & guard]:
+            v = neg if (k & move).bit_count() & 1 else c
+            if shift is not None:
+                e = (k & field) >> shift
                 if e != 1:
                     v = v * e
-                m = tuple(m)
-                old = out.get(m)
-                if old is not None:
-                    v = old + v
-                    if not v:
-                        del out[m]
-                        continue
-                out[m] = v
-    return out
+            image = images[j]
+            k += delta
+            old = image.get(k)
+            if old is not None:
+                v = old + v
+                if not v:
+                    del image[k]
+                    continue
+            image[k] = v
+    return images
 
 
 _UNIT_WEIGHT = Fraction(1)
-_UNIT_SCALARS = (ONE, ONE, -ONE)
+_UNIT_SCALARS = (ONE, ONE, MINUS_ONE)
 
 
 class InnerProduct:
@@ -310,15 +283,26 @@ class HodgeEngine:
         if len(degree) == 1:
             return [m for bid in self._offsets(degree[0])
                     for m in self.basis(*bid)]
-        monos = self.spec.basis(*degree)
+        return self._keyed(*degree)[0]
+
+    @_once
+    def _keyed(self, p, q):
+        """(basis(p, q), the keys of its monomials)."""
+        monos, keys = self.spec._all_monomials().get((p, q), ([], []))
         if self.filter is not None:
-            monos = [m for m in monos if self.filter(m)]
-        return monos
+            kept = [j for j, m in enumerate(monos) if self.filter(m)]
+            monos, keys = [monos[j] for j in kept], [keys[j] for j in kept]
+        return monos, keys
 
     @_once
     def index(self, *degree):
         """Position of each basis monomial of the degree."""
         return {m: i for i, m in enumerate(self.basis(*degree))}
+
+    @_once
+    def _key_index(self, p, q):
+        """Position of each basis monomial's key in basis(p, q)."""
+        return {k: i for i, k in enumerate(self._keyed(p, q)[1])}
 
     def degrees(self, theory):
         """Degrees of the theory's grading with a nonempty basis, in
@@ -425,17 +409,17 @@ class HodgeEngine:
             return self._placed(k + 1, k, [
                 ((p + dp, q + dq), (p, q), self.matrix(which, p, q))
                 for p, q in self._offsets(k) for which, (dp, dq) in D_PARTS])
-        src = self.basis(*degree)
-        index = self.index(*(a + b for a, b in zip(degree, SHIFT[op])))
-        table = self.spec._leibniz_table(op)
+        src, keys = self._keyed(*degree)
+        index = self._key_index(*(a + b for a, b in zip(degree, SHIFT[op])))
         mat = Matrix(len(index), len(src))
-        for j, mono in enumerate(src):
-            image = _derive_monomial(table, mono)
-            for m, c in image.items():
-                if m not in index:
-                    raise AssemblyError(
-                        "%s image leaves the subcomplex at %s" % (op, mono))
-                mat.data[index[m]][j] = c
+        for j, image in enumerate(_leibniz(self.spec._derivation_plan(op),
+                                           keys)):
+            for key, c in image.items():
+                i = index.get(key)
+                if i is None:
+                    raise AssemblyError("%s image leaves the subcomplex at %s"
+                                        % (op, src[j]))
+                mat.data[i][j] = c
         return mat
 
     def ddbar_matrix(self, p, q):
@@ -721,7 +705,7 @@ class HodgeEngine:
         coeffs = projector.coefficients(row)
         projection = projector.combine(coeffs)
         if not self._exact_span(theory, degree).contains_row(
-                linalg.axpy(dict(row), -ONE, projection)):
+                linalg.axpy(dict(row), MINUS_ONE, projection)):
             raise AssemblyError(
                 "harmonic decomposition failed for %s at %s"
                 % (theory, _label(degree)))

@@ -19,7 +19,7 @@ from . import linalg
 from .calculus import NotClosedError
 from .linalg import Subspace
 from .model import ModelError
-from .scalars import ONE
+from .scalars import MINUS_ONE
 
 
 class PotentialError(ValueError):
@@ -128,7 +128,7 @@ def triple_abc_massey(engine, alpha, beta, gamma,
                           (p + r, q + s))
     f_bg = _potential_row(engine, f_bg, engine.wedge_row(b, db, c, dc),
                           (r + u, s + v))
-    rep = linalg.axpy(engine.wedge_row(a, da, f_bg, fbg), -ONE,
+    rep = linalg.axpy(engine.wedge_row(a, da, f_bg, fbg), MINUS_ONE,
                       engine.wedge_row(f_ab, fab, c, dc))
     cls, projection = engine.class_row("aeppli", rep, *bid)
     products = ([engine.wedge_row(rows[0], da, xi, fbg)

@@ -9,13 +9,13 @@ that canonical order, so results are reproducible bit-for-bit.
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import wraps
 from math import prod
 
 from .linalg import axpy
-from .scalars import GaussianRational, ZERO, ONE
+from .scalars import GaussianRational, MINUS_ONE, ONE
 
 __all__ = [
     "GeneratorSpec", "ModelSpec", "Form", "DiagonalAction",
@@ -25,7 +25,7 @@ __all__ = [
 
 # The most monomials (the product of the truncations) a model may have:
 # the monomial table lists every one, so a larger model is refused before
-# it is enumerated.
+# it is enumerated.  Their keys then fit in 32 bits (see _layout).
 MAX_MONOMIALS = 2 ** 16
 
 
@@ -57,20 +57,49 @@ class ModelMismatch(ModelError):
     """Operands belong to different models."""
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    name: str
-    bidegree: tuple          # (p, q)
-    truncation: int          # g^truncation = 0; always 2 for odd generators
-    conjugate: str           # name of the conjugate generator (self allowed)
-    # derived once from bidegree: products read them per generator
-    degree: int = field(init=False, compare=False, repr=False)
-    odd: bool = field(init=False, compare=False, repr=False)
+class _Record:
+    """An immutable record, equal, hashed and shown by its `_fields` in
+    order, as a frozen dataclass is."""
 
-    def __post_init__(self):
-        degree = self.bidegree[0] + self.bidegree[1]
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "odd", degree % 2 == 1)
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return (self._values() == other._values()
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    __delattr__ = __setattr__
+
+
+_set = object.__setattr__
+
+
+class GeneratorSpec(_Record):
+    """A generator: name, bidegree (p, q), truncation (g^truncation = 0;
+    2 if odd) and its conjugate's name (itself allowed).  `odd` is
+    derived from the bidegree once: products read it per generator."""
+
+    __slots__ = ("name", "bidegree", "truncation", "conjugate", "odd")
+    _fields = ("name", "bidegree", "truncation", "conjugate")
+
+    def __init__(self, name, bidegree, truncation, conjugate):
+        _set(self, "name", name)
+        _set(self, "bidegree", bidegree)
+        _set(self, "truncation", truncation)
+        _set(self, "conjugate", conjugate)
+        _set(self, "odd", (bidegree[0] + bidegree[1]) % 2 == 1)
 
 
 class ModelSpec:
@@ -92,6 +121,7 @@ class ModelSpec:
             raise ModelError("duplicate generator names")
         self.parameters = dict(parameters or {})
         self._memo = defaultdict(dict)
+        self._layout = _layout(self.generators)
         self._validate_generators()
         self._set_differentials(del_images or {}, dbar_images or {})
 
@@ -132,7 +162,7 @@ class ModelSpec:
 
     def _set_differentials(self, del_images, dbar_images):
         """Take the images of both differentials, as dicts or Forms, and
-        check them.  The Leibniz tables are built from them on first
+        check them.  The derivation plans are built from them on first
         read, so nothing reads one before this call."""
         self.differentials = {}
         for op, raw, (dp, dq) in (("del", del_images, (1, 0)),
@@ -183,11 +213,10 @@ class ModelSpec:
                 q += e * g.bidegree[1]
         return (p, q)
 
-    @_once
     def basis(self, p, q):
         """All truncation-respecting monomials of bidegree (p, q), in
         lexicographic order of exponent vectors."""
-        return self._all_monomials().get((p, q), [])
+        return self._all_monomials().get((p, q), ([],))[0]
 
     @_once
     def _all_monomials(self):
@@ -202,23 +231,52 @@ class ModelSpec:
         """All (p, q) with a nonempty monomial basis, sorted."""
         return sorted(self._all_monomials())
 
+    def _key(self, mono):
+        """The key of a monomial, each exponent in its generator's field,
+        or None if an exponent reaches its truncation."""
+        if any(e >= t for e, (_, _, t) in zip(mono, self._layout)):
+            return None
+        return sum(e << shift for e, (shift, _, _) in zip(mono, self._layout))
+
+    def _monomial(self, key):
+        """The monomial of a key."""
+        return tuple(key >> shift & mask for shift, mask, _ in self._layout)
+
     @_once
-    def _leibniz_table(self, op):
-        """(odd, truncation, terms) for the differential op: per generator
-        position the generator's odd parity (0 or 1) and truncation, and in
-        `terms` None where the generator has no image, else one (support,
-        c, -c) per term c*t of its image, support [(position k, exponent
-        t_k, odd_k)] over the positions of t.  It holds ints and scalars,
-        no Form; calculus derives monomials from it."""
-        images = self.differentials[op]
-        odd = tuple(int(g.odd) for g in self.generators)
-        terms = []
-        for g in self.generators:
-            image = images.get(g.name)
-            terms.append(None if image is None else tuple(
-                (tuple((k, t, odd[k]) for k, t in enumerate(mt) if t), c, -c)
-                for mt, c in image.items()))
-        return odd, tuple(g.truncation for g in self.generators), tuple(terms)
+    def _derivation_plan(self, op):
+        """The differential op as a Leibniz rule on monomial keys: per term
+        c*t of the image of a generator g_i, (field, shift, delta, lift,
+        guard, move, c, -c).  A key k holds g_i iff k & field, and then
+        g_i's exponent is (k & field) >> shift if it may exceed 1 (shift
+        None otherwise).  The term survives iff (k + lift) & guard is 0:
+        lift adds to delta, in each field of t, the guard bit less the
+        truncation (L. Lamport, "Multiple byte processing with full-word
+        instructions", CACM 18(8), 1975).  It lands at k + delta, delta =
+        key(t) - key(g_i), with the sign of the parity of k & move: g_i
+        passes the odd factors before it, and each odd factor of t those
+        between it and g_i, each set counted modulo 2, so joined by xor."""
+        layout = self._layout
+        odd = [mask << shift if g.odd else 0
+               for g, (shift, mask, _) in zip(self.generators, layout)]
+        plan = []
+        for i, g in enumerate(self.generators):
+            shift, mask, _ = layout[i]
+            if not mask:
+                continue            # truncation 1: g_i is in no monomial
+            for mono, c in self.differentials[op].get(g.name, {}).items():
+                delta = self._key(mono) - (1 << shift)
+                lift, guard, move = delta, 0, sum(odd[:i])
+                for k, e in enumerate(mono):
+                    if e:
+                        s, m, t = layout[k]
+                        lift += (m + 1 - t) << s
+                        guard |= (m + 1) << s
+                        if odd[k]:
+                            move ^= sum(odd[k + 1:i] if k < i
+                                        else odd[i + 1:k])
+                plan.append((mask << shift, shift if mask > 1 else None,
+                             delta, lift, guard, move, c, -c))
+        return plan
 
     # -- form constructors --------------------------------------------
 
@@ -319,7 +377,8 @@ class Form:
         self._check(other)
         comp = dict(self.components)
         for m, c in other.components.items():
-            v = comp.get(m, ZERO) + c
+            old = comp.get(m)
+            v = c if old is None else old + c
             if v:
                 comp[m] = v
             else:
@@ -327,10 +386,10 @@ class Form:
         return Form(self.spec, comp)
 
     def __sub__(self, other):
-        return self + (other * GaussianRational(-1))
+        return self + (other * MINUS_ONE)
 
     def __neg__(self):
-        return self * GaussianRational(-1)
+        return self * MINUS_ONE
 
     def __mul__(self, scalar):
         scalar = GaussianRational.of(scalar)
@@ -400,20 +459,40 @@ def _pretty_sum(terms, times):
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _layout(generators):
+    """(shift, exponent mask, truncation) of each generator's field in a
+    monomial key: the exponent's bits and a guard bit, none for
+    truncation 1.  Generator 0's is highest, so keys sort as monomials.
+    At most 2 log2(truncation) bits, so keys fit in 32 bits."""
+    out, shift = [], 0
+    for g in reversed(generators):
+        bits = (g.truncation - 1).bit_length()
+        out.append((shift, (1 << bits) - 1, g.truncation))
+        shift += bits + 1 if g.truncation > 1 else 0
+    out.reverse()
+    return out
+
+
 def _monomial_table(generators):
-    """{(p, q): monomials of that bidegree in lexicographic order}: the
-    exponent vectors are extended one generator at a time, carrying
-    their bidegrees, and each prefix's extensions come in increasing
-    exponent, so every list is in order as built."""
-    monos = [((), 0, 0)]
-    for g in generators:
+    """{(p, q): (monomials, keys)}, the monomials of that bidegree in
+    lexicographic order and their keys in an array: the exponent vectors
+    are extended one generator at a time, carrying their bidegrees and
+    keys, and each prefix's extensions come in increasing exponent, so
+    every list is in order as built."""
+    monos = [((), 0, 0, 0)]
+    for g, (shift, _, _) in zip(generators, _layout(generators)):
         a, b = g.bidegree
-        steps = [((e,), e * a, e * b) for e in range(g.truncation)]
-        monos = [(m + s, p + dp, q + dq)
-                 for m, p, q in monos for s, dp, dq in steps]
+        steps = [((e,), e * a, e * b, e << shift)
+                 for e in range(g.truncation)]
+        monos = [(m + s, p + dp, q + dq, key + dk)
+                 for m, p, q, key in monos for s, dp, dq, dk in steps]
     table = {}
-    for m, p, q in monos:
-        table.setdefault((p, q), []).append(m)
+    for m, p, q, key in monos:
+        entry = table.get((p, q))
+        if entry is None:
+            entry = table[p, q] = [], array("q")
+        entry[0].append(m)
+        entry[1].append(key)
     return table
 
 
@@ -460,11 +539,14 @@ def _conjugate_monomial(spec, mono):
     return tuple(out), (-1 if swaps % 2 else 1)
 
 
-@dataclass(frozen=True)
-class DiagonalAction:
+class DiagonalAction(_Record):
     """Diagonal action on generators by unit scalars (+-1, +-i)."""
 
-    weights: tuple  # GaussianRational per generator, declaration order
+    __slots__ = _fields = ("weights",)
+
+    def __init__(self, weights):
+        # a GaussianRational per generator, in declaration order
+        _set(self, "weights", weights)
 
     @classmethod
     def from_map(cls, spec, mapping):

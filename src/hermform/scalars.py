@@ -205,6 +205,7 @@ def _imag_str(b):
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
+MINUS_ONE = GaussianRational(-1)
 I = GaussianRational(0, 1)
 
 # The grammar of a sum of terms, shared with `dsl`: the text is cut at
@@ -242,11 +243,14 @@ def parse_scalar(text):
     terms = signed_terms(text)
     if not terms:
         raise ScalarLiteralError("empty scalar literal")
-    result = ZERO
+    real = imag = 0
     for sign, body in terms:
         m = _LITERAL.fullmatch(body)
         if m is None:
             raise ScalarLiteralError("bad scalar literal: %r" % text)
         value = Fraction(sign * int(m["num"] or 1), int(m["den"] or 1))
-        result += GaussianRational(0, value) if m["i"] or m["j"] else value
-    return result
+        if m["i"] or m["j"]:
+            imag += value
+        else:
+            real += value
+    return GaussianRational(real, imag)

@@ -442,7 +442,8 @@ def _assert_matrices_match_reference(engine):
                 assert column == image.components, (which, mono)
 
 
-@pytest.mark.parametrize("ident", SAMPLE_IDS + ("example1:invariant",))
+@pytest.mark.parametrize("ident", SAMPLE_IDS + ("example1:invariant",
+                                                "ce:u=1,v=2", "nakamura:V.10"))
 def test_assembled_matrices_match_the_derivation(ident):
     _assert_matrices_match_reference(engine_for(ident))
 
@@ -875,6 +876,24 @@ def test_class_of_requires_closedness():
     engine.class_of(spec.gen("q3"), "conj_dolbeault")
     with pytest.raises(NotClosedError):
         engine.class_of(spec.gen("p1") + spec.gen("q1"), "dolbeault")
+
+
+def test_class_row_negates_no_scalar(monkeypatch):
+    """The residual of a projection is taken with the shared scalar -1:
+    a call on a warm engine negates no scalar."""
+    engine = HodgeEngine(load("iwasawa"))
+    row = engine.row(engine.spec.form_from_names(("p1", "q2")).components,
+                     1, 1)
+    engine.class_row("bott_chern", row, 1, 1)
+    negated = []
+    neg = GaussianRational.__neg__
+
+    def counted_neg(self):
+        negated.append(self)
+        return neg(self)
+    monkeypatch.setattr(GaussianRational, "__neg__", counted_neg)
+    engine.class_row("bott_chern", row, 1, 1)
+    assert negated == []
 
 
 def test_class_of_exact_form_vanishes():

@@ -1,8 +1,12 @@
 """Triple ABC-Massey products: potentials, verdicts, invariance."""
 
 import itertools
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,8 @@ from hermform.model import Form, ModelError
 from hermform.scalars import ZERO, GaussianRational
 
 from test_calculus import generator_metric
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def test_iwasawa_potential_oracle():
@@ -393,3 +399,41 @@ def test_cold_appendix_products_make_few_scalars(monkeypatch, case, bound):
     monkeypatch.setattr(scalars, "_make", counted_make)
     triple_abc_massey(engine, alpha, beta, gamma)
     assert 0 < len(made) <= bound
+
+
+# Loads V.10 twice in a fresh interpreter, dropping each spec and engine
+# before the next load, and prints per load the scalars made and the
+# matrices built in loading, building the engine and computing the cold
+# appendix product.
+TWO_LOADS = """
+from hermform import catalog, scalars
+from hermform.calculus import HodgeEngine
+from hermform.massey import triple_abc_massey
+made = []
+make = scalars._make
+def counted_make(a, b, d):
+    made.append(d)
+    return make(a, b, d)
+scalars._make = counted_make
+for _ in range(2):
+    made.clear()
+    spec = catalog.load("nakamura:V.10")
+    engine = HodgeEngine(spec)
+    triple_abc_massey(engine, *map(spec.form_from_names,
+                                   catalog._MASSEY["V.10"][:3]))
+    print(len(made), len(engine._memo["matrix"]))
+    del spec, engine
+"""
+
+
+def test_engines_on_two_loads_of_a_model_do_the_same_work():
+    """Nothing outlives its spec or engine: a second load of V.10 makes
+    as many scalars and builds as many matrices as the first, so no
+    module-level or cross-spec cache serves it.  It runs in a fresh
+    interpreter, so no other test's load warms such a cache first."""
+    out = subprocess.run([sys.executable, "-c", TWO_LOADS], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": SRC}).stdout
+    first, second = out.splitlines()
+    assert first == second
+    assert min(map(int, first.split())) > 0

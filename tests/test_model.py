@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermform import catalog, dsl
+from hermform import catalog, dsl, scalars
 from hermform.calculus import AssemblyError, HodgeEngine
 from hermform.catalog import calabi_eckmann, nakamura, torus
 from hermform.formality import check_all
@@ -97,6 +97,48 @@ def test_bases_list_every_monomial_in_lexicographic_order():
         assert spec.bidegrees() == sorted(table), ident
         for bid, monos in table.items():
             assert spec.basis(*bid) == sorted(monos), (ident, bid)
+
+
+def test_keys_increase_along_each_basis_and_decode_to_its_monomials():
+    """On every default instance the keys of each bidegree's basis
+    strictly increase, and each key decodes to its monomial and is the
+    key of that monomial."""
+    for ident, params in catalog.default_instances():
+        spec = catalog.load(ident, params)
+        for bid in spec.bidegrees():
+            monos, keys = spec._all_monomials()[bid]
+            assert list(keys) == sorted(set(keys)), (ident, bid)
+            assert [spec._monomial(k) for k in keys] == monos, (ident, bid)
+            assert [spec._key(m) for m in monos] == list(keys), (ident, bid)
+
+
+def test_truncation_one_generators_take_no_key_bits():
+    """Forty even generators of truncation 1 are in no monomial: beside
+    holo p1 p2 they leave torus:2's table, and the keys stay in 32 bits."""
+    text = "algebra wide dim 2\nholo p1 p2\n" + "".join(
+        "gen w%d : (1,1) even trunc 1 real\n" % k for k in range(40))
+    spec = dsl.parse(text)
+    assert max(max(keys) for _, keys in spec._all_monomials().values()) < (
+        2 ** 32)
+    table = HodgeEngine(spec).cohomology_table().to_dict()
+    want = HodgeEngine(torus(2)).cohomology_table().to_dict()
+    assert {k: v for k, v in table.items() if k != "model"} == {
+        k: v for k, v in want.items() if k != "model"}
+
+
+def test_adding_forms_on_disjoint_monomials_sums_no_scalars(iwasawa,
+                                                           monkeypatch):
+    """A sum of forms stores a term met once as it is."""
+    a, b = iwasawa.gen("p1") * GaussianRational(2), iwasawa.gen("q1")
+    sums = []
+    add = scalars._sum
+
+    def counted_sum(*args):
+        sums.append(args)
+        return add(*args)
+    monkeypatch.setattr(scalars, "_sum", counted_sum)
+    assert (a + b).components == {**a.components, **b.components}
+    assert sums == []
 
 
 def test_is_multiple_of(iwasawa):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hermform import scalars
 from hermform.scalars import GaussianRational, I, ONE, ZERO, parse_scalar
 from hermform.scalars import ScalarLiteralError, signed_terms
 
@@ -264,3 +265,19 @@ def test_parse_scalar_refuses_blanks_between_digits(text):
 ])
 def test_parse_scalar_reads_blanks_between_the_parts_of_a_term(text, want):
     assert parse_scalar(text) == want
+
+
+def test_parse_scalar_sums_no_scalars(monkeypatch):
+    """A literal's terms are summed as rationals, real and imaginary
+    apart, and make one scalar."""
+    sums = []
+    add = scalars._sum
+
+    def counted_sum(*args):
+        sums.append(args)
+        return add(*args)
+    monkeypatch.setattr(scalars, "_sum", counted_sum)
+    assert parse_scalar("1/2 + i") == GaussianRational(Fraction(1, 2), 1)
+    assert parse_scalar("1 - 2i + 3/4 + i/2") == GaussianRational(
+        Fraction(7, 4), Fraction(-3, 2))
+    assert sums == []

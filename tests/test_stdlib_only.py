@@ -3,8 +3,10 @@ declares no dependencies, and every import in every module under
 src/hermform names a standard-library module or a hermform module."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -31,3 +33,15 @@ def test_every_import_is_stdlib_or_hermform():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.M)
+
+
+def test_import_loads_no_dataclasses():
+    """`import hermform` in a fresh interpreter leaves dataclasses out,
+    and with it inspect (and ast, dis, tokenize, which it pulls in)."""
+    probe = ("import sys, hermform; print(sorted({'dataclasses', 'inspect'}"
+             " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.split() == ["[]"]
