@@ -15,20 +15,21 @@ blocks placed at their offsets, with no entry computed again.  A
 harmonic space keeps its cross-checked RREF, which gives its dimension;
 its kernel is row-reduced only when read.
 
-`wedge_row` multiplies sparse coordinate rows of two degrees through a
-product table per degree pair, keyed by basis positions and filled as
-products are read; no other module maps positions to monomials.
+A monomial's position in a basis is found through its integer key
+(see model._masks), by one key index per degree.  `wedge_row` multiplies
+sparse coordinate rows of two degrees by key arithmetic, with no product
+stored; no other module maps positions to monomials.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from operator import add, sub
+from operator import add
 
 from . import linalg
 from .linalg import Matrix
-from .model import Form, ModelError, _merge_monomials, _once
+from .model import Form, ModelError, _once
 from .scalars import GaussianRational, MINUS_ONE, ONE
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -94,28 +95,28 @@ def apply_derivation(spec, op, form):
     terms = {spec._key(m): c for m, c in form.components.items()}
     terms.pop(None, None)
     out = {}
-    for c, image in zip(terms.values(),
-                        _leibniz(spec._derivation_plan(op), list(terms))):
+    for c, image in zip(terms.values(), _leibniz(spec, op, list(terms))):
         linalg.axpy(out, c, image)
     return Form(spec, {spec._monomial(key): c for key, c in out.items()})
 
 
-def _leibniz(plan, keys):
-    """The derivation of the monomials with the given keys, by the
-    model's plan for the operator (see ModelSpec._derivation_plan): per
-    key its image {key: scalar}.  Each term of the plan picks the keys
-    it acts on in one pass, and only those are read."""
+def _leibniz(spec, op, keys):
+    """The derivation op of the monomials with the given keys, by the
+    model's plan for it (see ModelSpec._derivation_plan): per key its
+    image {key: scalar}.  Each term of the plan picks the keys it acts on
+    in one pass, and only those are read."""
+    lift, guard = spec._lift, spec._guard
     images = [{} for _ in keys]
-    for field, shift, delta, lift, guard, move, c, neg in plan:
+    for field, shift, lifted, move, c, neg in spec._derivation_plan(op):
         for j, k in [(j, k) for j, k in enumerate(keys)
-                     if k & field and not (k + lift) & guard]:
+                     if k & field and not (k + lifted) & guard]:
             v = neg if (k & move).bit_count() & 1 else c
             if shift is not None:
                 e = (k & field) >> shift
                 if e != 1:
                     v = v * e
             image = images[j]
-            k += delta
+            k += lifted - lift
             old = image.get(k)
             if old is not None:
                 v = old + v
@@ -251,10 +252,10 @@ class HodgeEngine:
     restricts to a subcomplex spanned by a subset of monomials (used for
     invariant submodels); the restriction is validated at assembly time.
 
-    Every per-degree artifact (bases, matrices, star and adjoint blocks,
-    closed RREFs, harmonic spaces, product tables, projectors, solvers)
-    is built once per engine by a method decorated with `_once` and kept
-    in `_memo`.
+    Every per-degree artifact (bases with their keys and key index,
+    matrices, star and adjoint blocks, closed RREFs, harmonic spaces,
+    projectors, solvers) is built once per engine by a method decorated
+    with `_once` and kept in `_memo`.
     """
 
     def __init__(self, spec, inner_product=None, monomial_filter=None):
@@ -264,45 +265,33 @@ class HodgeEngine:
         self._memo = defaultdict(dict)
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
-        # (position j, r(j)) for each odd generator: r(j) counts the odd
-        # factors of the volume monomial before j; star signs read them
-        odd_before = 0
-        self._odd_prefix = []
-        for j, (g, e) in enumerate(zip(spec.generators, spec.volume_monomial)):
-            if g.odd:
-                self._odd_prefix.append((j, odd_before))
-                odd_before += e
         self._validate_squares()
 
     # -- bases ---------------------------------------------------------
 
-    @_once
     def basis(self, *degree):
         """Monomials of the degree kept by the filter; a total degree
         lists its bidegrees (p, k - p) in increasing p."""
-        if len(degree) == 1:
-            return [m for bid in self._offsets(degree[0])
-                    for m in self.basis(*bid)]
         return self._keyed(*degree)[0]
 
     @_once
-    def _keyed(self, p, q):
-        """(basis(p, q), the keys of its monomials)."""
-        monos, keys = self.spec._all_monomials().get((p, q), ([], []))
+    def _keyed(self, *degree):
+        """(basis, the keys of its monomials) of the degree; a total
+        degree joins those of its bidegrees (p, k - p) in increasing p."""
+        if len(degree) == 1:
+            bids = self._offsets(degree[0])
+            return ([m for bid in bids for m in self.basis(*bid)],
+                    [k for bid in bids for k in self._keyed(*bid)[1]])
+        monos, keys = self.spec._all_monomials().get(degree, ([], []))
         if self.filter is not None:
             kept = [j for j, m in enumerate(monos) if self.filter(m)]
             monos, keys = [monos[j] for j in kept], [keys[j] for j in kept]
         return monos, keys
 
     @_once
-    def index(self, *degree):
-        """Position of each basis monomial of the degree."""
-        return {m: i for i, m in enumerate(self.basis(*degree))}
-
-    @_once
-    def _key_index(self, p, q):
-        """Position of each basis monomial's key in basis(p, q)."""
-        return {k: i for i, k in enumerate(self._keyed(p, q)[1])}
+    def _key_index(self, *degree):
+        """Position of each key of the degree's basis: the only index."""
+        return {k: i for i, k in enumerate(self._keyed(*degree)[1])}
 
     def degrees(self, theory):
         """Degrees of the theory's grading with a nonempty basis, in
@@ -336,9 +325,9 @@ class HodgeEngine:
     def row(self, components, *degree):
         """Coefficients {monomial: scalar} on the degree's basis as a
         sparse row {position: scalar}."""
-        index = self.index(*degree)
+        index, key = self._key_index(*degree), self.spec._key
         try:
-            return {index[m]: c for m, c in components.items()}
+            return {index[key(m)]: c for m, c in components.items()}
         except KeyError:
             raise _outside(degree) from None
 
@@ -348,40 +337,43 @@ class HodgeEngine:
         return _form(self.spec, self.basis(*degree), row)
 
     @_once
-    def _products(self, da, db):
-        """{(i, j): (k, sign)}: basis monomial i of degree da times basis
-        monomial j of degree db is sign times basis monomial k of degree
-        da + db, or (None, 0) when the product vanishes.  Empty when
-        built; `wedge_row` fills it as it reads products."""
-        return {}
+    def _signed_keys(self, *degree):
+        """(key, its sign mask) of each basis monomial of the degree."""
+        return [(y, self.spec._sign_mask(y)) for y in self._keyed(*degree)[1]]
+
+    @_once
+    def _product_plan(self, da, db):
+        """(keys of da, signed keys of db, key index of da + db, da + db):
+        what `wedge_row` reads, nothing stored per product."""
+        total = tuple(map(add, da, db))
+        return (self._keyed(*da)[1], self._signed_keys(*db),
+                self._key_index(*total), total)
 
     def wedge_row(self, a, da, b, db):
         """The wedge of the sparse row a at degree da and the sparse row
-        b at degree db, as a sparse row at degree da + db.  A product
-        outside that degree's basis is a ModelError, as in `row`."""
-        table = self._products(da, db)
+        b at degree db, as a sparse row at degree da + db, multiplied on
+        keys (see model._masks).  A product outside that degree's basis
+        is a ModelError, as in `row`."""
+        xs, ys, index, total = self._product_plan(da, db)
+        lift, guard = self.spec._lift, self.spec._guard
         out = {}
         for i, ca in a.items():
+            x = xs[i]
+            lifted = x + lift
             for j, cb in b.items():
-                hit = table.get((i, j))
-                if hit is None:
-                    m, sign = _merge_monomials(
-                        self.spec, self.basis(*da)[i], self.basis(*db)[j])
-                    if m is not None:
-                        total = tuple(map(add, da, db))
-                        m = self.index(*total).get(m)
-                        if m is None:
-                            raise _outside(total)
-                    hit = table[i, j] = m, sign
-                k, sign = hit
-                if k is None:
+                y, mask = ys[j]
+                if (lifted + y) & guard:
                     continue
-                c = ca * cb
+                k = index.get(x + y)
+                if k is None:
+                    raise _outside(total)
+                c = cb if ca is ONE else ca if cb is ONE else ca * cb
                 old = out.get(k)
-                if old is None:
-                    v = c if sign > 0 else -c
+                if (x & mask).bit_count() & 1:
+                    v = (MINUS_ONE if c is ONE else -c) if old is None \
+                        else old - c
                 else:
-                    v = old + c if sign > 0 else old - c
+                    v = c if old is None else old + c
                 if v:
                     out[k] = v
                 else:
@@ -412,8 +404,7 @@ class HodgeEngine:
         src, keys = self._keyed(*degree)
         index = self._key_index(*(a + b for a, b in zip(degree, SHIFT[op])))
         mat = Matrix(len(index), len(src))
-        for j, image in enumerate(_leibniz(self.spec._derivation_plan(op),
-                                           keys)):
+        for j, image in enumerate(_leibniz(self.spec, op, keys)):
             for key, c in image.items():
                 i = index.get(key)
                 if i is None:
@@ -526,29 +517,17 @@ class HodgeEngine:
 
     # -- star ----------------------------------------------------------
 
-    def _complement(self, mono):
-        """(complement, sign): mono ^ complement = sign vol, for mono
-        dividing vol.  Each odd factor j of mono passes the odd factors
-        of the complement before it: the r(j) odd factors of vol before
-        j less those of mono, which sum to k(k-1)/2 over mono's k odd
-        factors.  So the sign is (-1)^(sum of r(j) - k(k-1)/2)."""
-        comp = tuple(map(sub, self.spec.volume_monomial, mono))
-        passes = k = 0
-        for j, r in self._odd_prefix:
-            if mono[j]:
-                passes += r
-                k += 1
-        return comp, -1 if (passes - k * (k - 1) // 2) % 2 else 1
-
     def star(self, form):
         """Conjugate-linear Hodge star for the diagonal inner product:
         the monomial m goes to +-weight(m) times its complement, with
         the sign of m ^ complement = +-vol."""
-        out = self.spec.zero()
+        spec = self.spec
+        out = spec.zero()
         for mono, coeff in form.components.items():
-            comp, sign = self._complement(mono)
+            comp, negative = spec._complement_key(spec._key(mono))
             c = coeff.conjugate() * self.ip.scalars(mono)[0]
-            out = out + self.spec.monomial_form(comp, c if sign > 0 else -c)
+            out = out + spec.monomial_form(spec._monomial(comp),
+                                           -c if negative else c)
         return out
 
     def _dual(self, degree):
@@ -563,19 +542,19 @@ class HodgeEngine:
         sends basis monomial source[i] of the bidegree to c[i] times
         monomial i; shared by every operator.  Raises unless star maps
         the bidegree's basis onto the dual's."""
-        index = self.index(*self._dual(degree))
-        src = self.basis(*degree)
+        index = self._key_index(*self._dual(degree))
+        keys = self._keyed(*degree)[1]
         weights, _, negated = self._scalar_weights(degree)
         source, const = [None] * len(index), [None] * len(index)
-        for j, mono in enumerate(src):
-            comp, sign = self._complement(mono)
+        for j, x in enumerate(keys):
+            comp, negative = self.spec._complement_key(x)
             i = index.get(comp)
             if i is None:
                 break
-            source[i], const[i] = j, weights[j] if sign > 0 else negated[j]
+            source[i], const[i] = j, negated[j] if negative else weights[j]
         else:
             # the complement is one to one, so onto when the sizes agree
-            if len(src) == len(index):
+            if len(keys) == len(index):
                 return source, const
         raise AssemblyError("subcomplex is not closed under star at %s"
                             % _label(degree))

@@ -106,7 +106,8 @@ class _Spaces:
             return _Space(space, space.rows)
         a = self.engine.harmonic_space("aeppli", *degree).space
         bc = self.engine.harmonic_space("bott_chern", *degree).space
-        rows = a.rows + [row for row in bc.rows if row not in a.rows]
+        a_rows = a.rows
+        rows = a_rows + [row for row in bc.rows if row not in a_rows]
         return _Space(Subspace._from_rows(a.ambient, rows), rows)
 
 

@@ -58,13 +58,6 @@ class Matrix:
         self.data = [dict() for _ in range(rows)] if data is None else data
         self._columns = None
 
-    @classmethod
-    def from_rows(cls, rows_list, cols=None):
-        """Build from dense row lists."""
-        if cols is None:
-            cols = max((len(r) for r in rows_list), default=0)
-        return cls(len(rows_list), cols, [_sparse(r) for r in rows_list])
-
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("matrix has %d cols, vector has %d entries"

@@ -13,6 +13,7 @@ from array import array
 from collections import defaultdict
 from functools import wraps
 from math import prod
+from operator import lshift, lt
 
 from .linalg import axpy
 from .scalars import GaussianRational, MINUS_ONE, ONE
@@ -121,7 +122,10 @@ class ModelSpec:
             raise ModelError("duplicate generator names")
         self.parameters = dict(parameters or {})
         self._memo = defaultdict(dict)
-        self._layout = _layout(self.generators)
+        self._layout = layout = _layout(self.generators)
+        self._shifts = tuple(shift for shift, _, _ in layout)
+        self._truncations = tuple(g.truncation for g in self.generators)
+        self._lift, self._guard, self._odd = _masks(self.generators, layout)
         self._validate_generators()
         self._set_differentials(del_images or {}, dbar_images or {})
 
@@ -159,6 +163,7 @@ class ModelSpec:
             raise ModelError("bidegree (%d,%d) space has dimension %d, not 1"
                              % (self.n, self.n, len(vol)))
         self.volume_monomial = vol[0]
+        self._volume_key = self._key(vol[0])
 
     def _set_differentials(self, del_images, dbar_images):
         """Take the images of both differentials, as dicts or Forms, and
@@ -234,48 +239,54 @@ class ModelSpec:
     def _key(self, mono):
         """The key of a monomial, each exponent in its generator's field,
         or None if an exponent reaches its truncation."""
-        if any(e >= t for e, (_, _, t) in zip(mono, self._layout)):
-            return None
-        return sum(e << shift for e, (shift, _, _) in zip(mono, self._layout))
+        if len(mono) == len(self._shifts) and all(
+                map(lt, mono, self._truncations)):
+            return sum(map(lshift, mono, self._shifts))
+        return None
 
     def _monomial(self, key):
         """The monomial of a key."""
         return tuple(key >> shift & mask for shift, mask, _ in self._layout)
 
+    def _sign_mask(self, key):
+        """M(key) of _masks, by a suffix xor of 32 bits."""
+        y = (key & self._odd) >> 1
+        for shift in (1, 2, 4, 8, 16):
+            y ^= y >> shift
+        return y & self._odd
+
+    def _complement_key(self, x):
+        """(y, negative): keys x and y multiply to -vol if negative, else
+        to vol.  y is no key unless x's monomial divides vol's."""
+        y = self._volume_key - x
+        return y, (x & self._sign_mask(y)).bit_count() & 1
+
     @_once
     def _derivation_plan(self, op):
         """The differential op as a Leibniz rule on monomial keys: per term
-        c*t of the image of a generator g_i, (field, shift, delta, lift,
-        guard, move, c, -c).  A key k holds g_i iff k & field, and then
-        g_i's exponent is (k & field) >> shift if it may exceed 1 (shift
-        None otherwise).  The term survives iff (k + lift) & guard is 0:
-        lift adds to delta, in each field of t, the guard bit less the
-        truncation (L. Lamport, "Multiple byte processing with full-word
-        instructions", CACM 18(8), 1975).  It lands at k + delta, delta =
-        key(t) - key(g_i), with the sign of the parity of k & move: g_i
-        passes the odd factors before it, and each odd factor of t those
-        between it and g_i, each set counted modulo 2, so joined by xor."""
+        c*t of the image of a generator g_i, (field, shift, delta + lift,
+        move, c, -c).  A key k holds g_i iff k & field, and then g_i's
+        exponent is (k & field) >> shift if it may exceed 1 (shift None
+        otherwise).  The term maps k to k + delta, delta = key(t) -
+        key(g_i), a product of keys (see _masks) that survives iff
+        (k + delta + lift) & guard is 0.  Its sign is the parity of
+        k & move: g_i passes the odd factors before it, and each odd
+        factor of t those between it and g_i, joined by xor."""
         layout = self._layout
-        odd = [mask << shift if g.odd else 0
-               for g, (shift, mask, _) in zip(self.generators, layout)]
+        odd = [self._odd & mask << shift for shift, mask, _ in layout]
         plan = []
         for i, g in enumerate(self.generators):
             shift, mask, _ = layout[i]
             if not mask:
                 continue            # truncation 1: g_i is in no monomial
             for mono, c in self.differentials[op].get(g.name, {}).items():
-                delta = self._key(mono) - (1 << shift)
-                lift, guard, move = delta, 0, sum(odd[:i])
+                move = sum(odd[:i])
                 for k, e in enumerate(mono):
-                    if e:
-                        s, m, t = layout[k]
-                        lift += (m + 1 - t) << s
-                        guard |= (m + 1) << s
-                        if odd[k]:
-                            move ^= sum(odd[k + 1:i] if k < i
-                                        else odd[i + 1:k])
+                    if e and odd[k]:
+                        move ^= sum(odd[k + 1:i] if k < i else odd[i + 1:k])
                 plan.append((mask << shift, shift if mask > 1 else None,
-                             delta, lift, guard, move, c, -c))
+                             self._key(mono) - (1 << shift) + self._lift,
+                             move, c, -c))
         return plan
 
     # -- form constructors --------------------------------------------
@@ -294,9 +305,6 @@ class ModelSpec:
 
     def monomial_form(self, mono, coeff=ONE):
         return Form(self, {tuple(mono): coeff})
-
-    def volume_form(self):
-        return self.monomial_form(self.volume_monomial)
 
     def form_from_names(self, names, coeff=ONE):
         """Wedge of named generators, e.g. ('p1','p2','q3')."""
@@ -471,6 +479,25 @@ def _layout(generators):
         shift += bits + 1 if g.truncation > 1 else 0
     out.reverse()
     return out
+
+
+def _masks(generators, layout):
+    """(lift, guard, odd): per field of the layout its guard bit less
+    its truncation, its guard bit, and its bit if the generator is odd.
+    The product of monomials with keys x and y lands at x + y and
+    vanishes iff (x + y + lift) & guard is nonzero (L. Lamport, CACM
+    18(8), 1975).  As in _merge_monomials, each odd factor of y passes
+    those of x in lower bits: it is negative iff x & M(y) has an odd
+    number of bits, bit i of M(y) set iff i is odd and y has an odd
+    number of odd bits above i."""
+    lift = guard = odd = 0
+    for g, (shift, mask, truncation) in zip(generators, layout):
+        if mask:
+            lift += (mask + 1 - truncation) << shift
+            guard |= (mask + 1) << shift
+        if g.odd:
+            odd |= mask << shift
+    return lift, guard, odd
 
 
 def _monomial_table(generators):

@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import random
 import weakref
 from collections import Counter
@@ -20,10 +21,21 @@ from hermform.dsl import parse
 from hermform.linalg import Matrix, inner, solve
 from hermform.model import (Form, GeneratorSpec, ModelError, ModelSpec,
                             _merge_monomials, _once, invariant_submodel)
-from hermform.scalars import GaussianRational, ONE, ZERO
+from hermform.scalars import GaussianRational, MINUS_ONE, ONE, ZERO
 
 SAMPLE_IDS = ("torus:2", "iwasawa", "ce:u=1,v=1", "nakamura:IV.3")
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
+
+
+def dense_matrix(rows):
+    """The Matrix with the given dense rows, zeros left out."""
+    m = Matrix(len(rows), len(rows[0]) if rows else 0)
+    for out, row in zip(m.data, rows):
+        for j, a in enumerate(row):
+            a = GaussianRational.of(a)
+            if a:
+                out[j] = a
+    return m
 
 
 def coords(engine, form, *degree):
@@ -106,7 +118,7 @@ def test_star_pairing_identity():
     rng = random.Random(47)
     engine = engine_for("iwasawa")
     spec = engine.spec
-    vol = spec.volume_form()
+    vol = spec.monomial_form(spec.volume_monomial)
     for _ in range(25):
         bids = [b for b in spec.bidegrees() if spec.basis(*b)]
         p, q = bids[rng.randrange(len(bids))]
@@ -127,7 +139,7 @@ def test_weighted_star_pairing():
             weights[mono] = Fraction(1 + sum(mono), 2)
     engine = HodgeEngine(spec, InnerProduct(weights))
     rng = random.Random(53)
-    vol = spec.volume_form()
+    vol = spec.monomial_form(spec.volume_monomial)
     for _ in range(15):
         bids = [b for b in spec.bidegrees() if spec.basis(*b)]
         p, q = bids[rng.randrange(len(bids))]
@@ -155,7 +167,7 @@ def test_star_table_defining_identity(ident, pairs):
             for w, e in zip(gen_weight, mono):
                 weight[mono] *= w ** e
     engine = HodgeEngine(spec, InnerProduct(weight))
-    vol = spec.volume_form()
+    vol = spec.monomial_form(spec.volume_monomial)
     seen = 0
     for bid in spec.bidegrees():
         for a in spec.basis(*bid):
@@ -256,8 +268,8 @@ def test_class_of_harmonic_plus_exact_under_seeded_metric():
                 w = engine.weights(*degree)
                 basis = [coords(engine, f, *degree) for f in space]
                 v = coords(engine, form, *degree)
-                gram = Matrix.from_rows([[inner(bj, bi, w) for bj in basis]
-                                         for bi in basis])
+                gram = dense_matrix([[inner(bj, bi, w) for bj in basis]
+                                     for bi in basis])
                 assert solve(gram, [inner(v, bi, w) for bi in basis]) == got
     # ce:u=1,v=1 has no del-dbar-exact forms, iwasawa supplies them
     assert with_exact == set(THEORY)
@@ -608,10 +620,15 @@ PLACED_IDS = ("torus:3", "iwasawa", "example1:invariant", "ce:u=1,v=2",
               "nakamura:V.4")
 
 
+def _positions(engine, *degree):
+    """{monomial: position} of the engine's basis at the degree."""
+    return {m: i for i, m in enumerate(engine.basis(*degree))}
+
+
 def _direct_d(engine, k):
     """The matrix of d = del + dbar at total degree k, column j the
     derivation of basis monomial j, with no block placed."""
-    spec, index = engine.spec, engine.index(k + 1)
+    spec, index = engine.spec, _positions(engine, k + 1)
     mat = Matrix(len(index), len(engine.basis(k)))
     for j, mono in enumerate(engine.basis(k)):
         form = spec.monomial_form(mono)
@@ -654,7 +671,7 @@ def test_placed_de_rham_artifacts_match_a_direct_build(ident, seeded):
                     adjoint.data[j][i] = (a.conjugate() * _weight(
                         engine, here[i]) / _weight(engine, low[j]))
             assert engine.adjoint_matrix("d", k).data == adjoint.data, k
-        dual = engine.index(2 * n - k)
+        dual = _positions(engine, 2 * n - k)
         after = Matrix(direct[2 * n - k].rows, len(engine.basis(k)))
         for j, mono in enumerate(engine.basis(k)):
             comp = tuple(v - e for v, e in zip(vol, mono))
@@ -665,7 +682,7 @@ def test_placed_de_rham_artifacts_match_a_direct_build(ident, seeded):
         assert engine._after_star("d", (k,)).data == after.data, k
     for bid in spec.bidegrees():
         source, const = engine._star_columns(bid)
-        dual = engine.index(n - bid[0], n - bid[1])
+        dual = _positions(engine, n - bid[0], n - bid[1])
         basis = engine.basis(*bid)
         assert sorted(source) == list(range(len(basis)))
         for j, mono in enumerate(basis):
@@ -677,20 +694,32 @@ def test_placed_de_rham_artifacts_match_a_direct_build(ident, seeded):
 
 
 def test_star_sign_in_closed_form():
-    """The star sign of every monomial of every default instance, read
-    off the odd generators before each factor, is the sign that
-    multiplying the monomial by its complement gives."""
+    """The star sign of every monomial of every default instance, which
+    the model reads off the monomial's key and its complement's, is the
+    sign that multiplying the monomial by its complement gives; and so
+    is every sign of the engine's star column maps, where star sends
+    basis monomial m to +-weight(m) times vol - m, the weight 1 under
+    the default metric."""
     checked = 0
     for ident, params in default_instances():
         engine = engine_for(ident, params)
-        spec = engine.spec
+        spec, n, vol = engine.spec, engine.spec.n, engine.spec.volume_monomial
         for bid in spec.bidegrees():
             for mono in spec.basis(*bid):
-                comp, sign = engine._complement(mono)
-                assert min(comp) >= 0
+                comp, negative = spec._complement_key(spec._key(mono))
+                comp = spec._monomial(comp)
+                assert tuple(a + b for a, b in zip(mono, comp)) == vol
                 assert _merge_monomials(spec, mono, comp) == (
-                    spec.volume_monomial, sign), (ident, mono)
-                checked += sign < 0
+                    vol, -1 if negative else 1), (ident, mono)
+                checked += negative
+            source, const = engine._star_columns(bid)
+            basis = engine.basis(*bid)
+            assert sorted(source) == list(range(len(basis)))
+            for comp, j, c in zip(engine.basis(n - bid[0], n - bid[1]),
+                                  source, const):
+                assert c in (ONE, MINUS_ONE)
+                assert _merge_monomials(spec, basis[j], comp) == (
+                    vol, 1 if c == ONE else -1), (ident, basis[j])
     assert checked > 1000
 
 
@@ -799,44 +828,108 @@ PRODUCT_PAIRS = (("ce:u=1,v=1", None),
                  ("example1:invariant", (((1, 1), (1, 1)),)),
                  ("iwasawa", (((2,), (3,)),)))
 
+# models whose products of seeded multi-term rows are checked on every
+# pair of bidegrees: ce:u=1,v=2 reaches w2^2 and cuts off at w2^3, and
+# example1:invariant is filtered
+PRODUCT_ROWS = ("ce:u=1,v=2", "example1:invariant")
+
+SEEDED_COEFFICIENTS = (ONE, MINUS_ONE, GaussianRational(2, -1),
+                       GaussianRational(0, 3), GaussianRational(Fraction(1, 2)))
+
+
+def _filtered_engine(ident):
+    spec, action = load_with_action(ident)
+    return HodgeEngine(spec, monomial_filter=action and
+                       invariant_submodel(spec, action))
+
+
+def _wedge_as_row(engine, form, *degree):
+    """The sparse row of form at the degree, by the position of each
+    monomial in the engine's basis."""
+    at = _positions(engine, *degree)
+    return {at[m]: c for m, c in form.components.items()}
+
 
 def test_product_table_matches_wedge():
-    """Every entry of the product tables of some degree pairs matches
-    Form.wedge of the two basis monomials: (k, sign) where the product is
-    sign times basis monomial k of da + db, and (None, 0) where it
-    vanishes, both kinds present on each model.  The pairs are every
-    pair of bidegrees of a model with even generators, one of a filtered
-    model and one of total degrees.  wedge_row of the two basis rows
-    fills the table and gives the same product, and a second call
-    returns the same table."""
+    """wedge_row, which multiplies on monomial keys, gives the products
+    Form.wedge gives on exponent tuples.  Of basis rows, on every pair
+    of bidegrees of a model with even generators, one pair of a filtered
+    model and one of total degrees: each product vanishes or is +-1 on
+    one basis monomial of da + db, both kinds present on each model and
+    both signs among them.  Of seeded multi-term rows, units among their
+    coefficients, on every pair of bidegrees of PRODUCT_ROWS.  And a
+    product that the engine's filter leaves out is a ModelError."""
+    signs = set()
     for ident, pairs in PRODUCT_PAIRS:
-        spec, action = load_with_action(ident)
-        engine = HodgeEngine(spec, monomial_filter=action and
-                             invariant_submodel(spec, action))
+        engine = _filtered_engine(ident)
+        spec = engine.spec
         if pairs is None:
             degrees = engine.degrees("dolbeault")
             pairs = [(da, db) for da in degrees for db in degrees]
         kinds = set()
         for da, db in pairs:
             total = tuple(a + b for a, b in zip(da, db))
-            left, right = engine.basis(*da), engine.basis(*db)
-            for i, ma in enumerate(left):
-                for j, mb in enumerate(right):
+            for i, ma in enumerate(engine.basis(*da)):
+                for j, mb in enumerate(engine.basis(*db)):
                     row = engine.wedge_row({i: ONE}, da, {j: ONE}, db)
                     wedge = spec.monomial_form(ma).wedge(
                         spec.monomial_form(mb))
-                    k, sign = engine._products(da, db)[i, j]
-                    kinds.add(k is None)
-                    if wedge.is_zero():
-                        assert (k, sign) == (None, 0) and row == {}
-                    else:
-                        assert wedge.components == {
-                            engine.basis(*total)[k]: GaussianRational(sign)}
-                        assert row == {k: GaussianRational(sign)}
-            table = engine._products(da, db)
-            assert len(table) == len(left) * len(right)
-            assert engine._products(da, db) is table
+                    assert row == _wedge_as_row(engine, wedge, *total), (
+                        ident, ma, mb)
+                    assert len(row) <= 1
+                    kinds.add(not row)
+                    signs.update(row.values())
         assert kinds == {True, False}, ident
+    assert signs == {ONE, MINUS_ONE}
+    rng = random.Random(29)
+    for ident in PRODUCT_ROWS:
+        engine = _filtered_engine(ident)
+        degrees = engine.degrees("dolbeault")
+        products = 0
+        for da, db, _ in itertools.product(degrees, degrees, range(3)):
+            total = tuple(a + b for a, b in zip(da, db))
+            a, b = ({j: rng.choice(SEEDED_COEFFICIENTS)
+                     for j in range(len(engine.basis(*d)))
+                     if rng.random() < 0.5} for d in (da, db))
+            row = engine.wedge_row(a, da, b, db)
+            wedge = engine.form(a, *da).wedge(engine.form(b, *db))
+            assert row == _wedge_as_row(engine, wedge, *total), (
+                ident, da, db)
+            products += bool(row)
+        assert products > 10, ident
+    spec = load("torus:2")
+    dropped = spec.form_from_names(("p1", "p2"))
+    engine = HodgeEngine(spec, monomial_filter=lambda m: (
+        m not in dropped.components))
+    p1, p2 = (engine.row(spec.gen(g).components, 1, 0) for g in ("p1", "p2"))
+    with pytest.raises(ModelError, match="outside"):
+        engine.wedge_row(p1, (1, 0), p2, (1, 0))
+
+
+def test_unit_operands_make_no_scalar(monkeypatch):
+    """A product of two unit coefficients is +-1, the shared ONE or
+    MINUS_ONE: of a basis pair of iwasawa with a negative sign and of
+    one with a positive sign, wedge_row makes no scalar."""
+    engine = HodgeEngine(load("iwasawa"))
+    spec = engine.spec
+    found = {}
+    for i, ma in enumerate(engine.basis(1, 0)):
+        for j, mb in enumerate(engine.basis(1, 0)):
+            row = _wedge_as_row(engine, spec.monomial_form(ma).wedge(
+                spec.monomial_form(mb)), 2, 0)
+            for c in row.values():
+                found.setdefault(c, (i, j, row))
+    assert set(found) == {ONE, MINUS_ONE}
+    made = []
+    make = scalars._make
+
+    def counted_make(a, b, d):
+        made.append((a, b, d))
+        return make(a, b, d)
+    monkeypatch.setattr(scalars, "_make", counted_make)
+    for i, j, row in found.values():
+        assert engine.wedge_row({i: ONE}, (1, 0), {j: ONE}, (1, 0)) == row
+    assert made == []
 
 
 def test_torus_harmonic_is_everything():

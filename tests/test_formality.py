@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from hermform import formality
 from hermform.calculus import (AssemblyError, HarmonicBasis, HodgeEngine,
                                InnerProduct, apply_derivation)
-from hermform.catalog import default_instances, engine_for, load_with_action
+from hermform.catalog import (default_instances, engine_for,
+                              load_with_action, torus)
 from hermform.cli import run
 from hermform.formality import NOTIONS, check_all, check_formality
 from hermform.linalg import Subspace
@@ -145,6 +147,44 @@ def test_abc_scan_multiplies_no_pair_of_rows_twice(monkeypatch):
     formality._first_violation(formality._Spaces(engine),
                                formality.SWEEPS["geom_abc"])
     assert len(set(pairs)) == len(pairs) == 253
+
+
+def test_abc_rows_read_each_space_once(monkeypatch):
+    """Building the ABC rows of a bidegree reads the rows of ℋ_A once and
+    those of ℋ_BC once: `Subspace.rows` makes a new list on each read,
+    and a read per row of ℋ_BC tested made as many."""
+    engine = HodgeEngine(load_with_action("nakamura:IV.3")[0])
+    real = Subspace.rows
+    reads = []
+
+    def counted(self):
+        reads.append(self)
+        return real.fget(self)
+    monkeypatch.setattr(Subspace, "rows", property(counted))
+    degree = max(engine.degrees("aeppli"), key=lambda d: engine.harmonic_space(
+        "bott_chern", *d).dim)
+    assert engine.harmonic_space("bott_chern", *degree).dim > 2
+    del reads[:]
+    abc = formality._Spaces(engine).get("abc", degree)
+    assert len(reads) <= 2
+    a, bc = (engine.harmonic_space(t, *degree).space.rows
+             for t in ("aeppli", "bott_chern"))
+    assert abc.rows == a + [row for row in bc if row not in a]
+
+
+def test_cold_torus_sweep_allocates_little():
+    """check_all on a cold torus:4 engine peaks under 1.0 MB of traced
+    allocations.  Nothing is kept per product: a product table per
+    degree pair took the peak to 1.5 MB."""
+    engine = HodgeEngine(torus(4))
+    tracemalloc.start()
+    try:
+        reports = check_all(engine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.verdict for r in reports.values())
+    assert peak < 1_000_000, peak
 
 
 def test_generator_check_tests_the_unit_as_a_left_factor(monkeypatch):
