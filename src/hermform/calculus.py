@@ -15,17 +15,16 @@ blocks placed at their offsets, with no entry computed again.  A
 harmonic space keeps its cross-checked RREF, which gives its dimension;
 its kernel is row-reduced only when read.
 
-A monomial's position in a basis is found through its integer key
-(see model._masks), by one key index per degree.  `wedge_row` multiplies
-sparse coordinate rows of two degrees by key arithmetic, with no product
-stored; no other module maps positions to monomials.
+Assembly writes each del/dbar entry straight into its row in one pass
+over the source keys, and nothing is built at a degree outside the
+model's range.  Positions are found through integer keys (model._masks),
+one key index per degree; `wedge_row` multiplies rows by key arithmetic.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from operator import add
 
 from . import linalg
 from .linalg import Matrix
@@ -34,8 +33,9 @@ from .scalars import GaussianRational, MINUS_ONE, ONE
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
 
-# Degree shift of each operator; d acts on total degrees.
+# Degree shift of each operator, and its negation; d acts on total degrees.
 SHIFT = {"del": (1, 0), "dbar": (0, 1), "ddbar": (1, 1), "d": (1,)}
+_BACK = {op: tuple(-a for a in shift) for op, shift in SHIFT.items()}
 
 # d = del + dbar: each part with its shift
 D_PARTS = tuple((op, SHIFT[op]) for op in ("del", "dbar"))
@@ -66,9 +66,14 @@ def _total(theory):
     return len(SHIFT[_theory(theory).closed[0]]) == 1
 
 
+def _add(a, b):
+    """The degree a + b of two degrees, both (k,) or both (p, q)."""
+    return (a[0] + b[0],) if len(a) == 1 else (a[0] + b[0], a[1] + b[1])
+
+
 def _source(degree, op):
     """The degree op maps into `degree` from, or None below zero."""
-    src = tuple(a - b for a, b in zip(degree, SHIFT[op]))
+    src = _add(degree, _BACK[op])
     return src if min(src) >= 0 else None
 
 
@@ -94,37 +99,40 @@ def apply_derivation(spec, op, form):
     past a truncation is 0 in the algebra, and so is its image."""
     terms = {spec._key(m): c for m, c in form.components.items()}
     terms.pop(None, None)
-    out = {}
-    for c, image in zip(terms.values(), _leibniz(spec, op, list(terms))):
-        linalg.axpy(out, c, image)
-    return Form(spec, {spec._monomial(key): c for key, c in out.items()})
+    rows = defaultdict(dict)
+    _leibniz(spec, op, list(terms), rows)
+    images = [{} for _ in terms]
+    for t, row in rows.items():
+        for j, c in row.items():
+            images[j][spec._monomial(t)] = c
+    return Form(spec, linalg._combine(enumerate(terms.values()), images))
 
 
-def _leibniz(spec, op, keys):
-    """The derivation op of the monomials with the given keys, by the
-    model's plan for it (see ModelSpec._derivation_plan): per key its
-    image {key: scalar}.  Each term of the plan picks the keys it acts on
-    in one pass, and only those are read."""
-    lift, guard = spec._lift, spec._guard
-    images = [{} for _ in keys]
-    for field, shift, lifted, move, c, neg in spec._derivation_plan(op):
-        for j, k in [(j, k) for j, k in enumerate(keys)
-                     if k & field and not (k + lifted) & guard]:
-            v = neg if (k & move).bit_count() & 1 else c
-            if shift is not None:
-                e = (k & field) >> shift
+def _leibniz(spec, op, keys, rows):
+    """Write the derivation op of the monomials with the given keys into
+    rows {target key: row} by the model's plan (see _derivation_plan):
+    row t at j is t's coefficient in the image of keys[j], so j increases
+    in each row; a key with no field of the plan costs one AND.  rows is
+    a defaultdict(dict), so a target with no row gets one."""
+    guard = spec._guard
+    active, groups = spec._derivation_plan(op)
+    for j, k in [(j, k) for j, k in enumerate(keys) if k & active]:
+        for field, shift, terms in groups:
+            if not k & field:
+                continue
+            e = (k & field) >> shift
+            for lifted, delta, move, c, neg in terms:
+                if (k + lifted) & guard:
+                    continue
+                v = neg if (k & move).bit_count() & 1 else c
                 if e != 1:
                     v = v * e
-            image = images[j]
-            k += lifted - lift
-            old = image.get(k)
-            if old is not None:
-                v = old + v
-                if not v:
-                    del image[k]
-                    continue
-            image[k] = v
-    return images
+                row = rows[k + delta]
+                if j in row:  # the row's last entry: it stays last
+                    v = row.pop(j) + v
+                    if not v:
+                        continue
+                row[j] = v
 
 
 _UNIT_WEIGHT = Fraction(1)
@@ -187,9 +195,9 @@ class HarmonicBasis:
 
     __slots__ = ("theory", "bidegree", "_rref", "_spec", "_basis", "_memo")
 
-    def __init__(self, theory, bidegree, rref, spec, basis):
+    def __init__(self, theory, degree, rref, spec, basis):
         self.theory = theory
-        self.bidegree = bidegree
+        self.bidegree = degree if len(degree) > 1 else degree[0]
         self._rref = rref
         self._spec = spec
         self._basis = basis
@@ -302,12 +310,17 @@ class HodgeEngine:
             candidates = self.spec.bidegrees()
         return [d for d in candidates if self.basis(*d)]
 
+    def _inside(self, degree):
+        """Whether each part is in 0..top, the model's largest (2 top in k)."""
+        top = self.spec._top * (3 - len(degree))
+        return 0 <= min(degree) and max(degree) <= top
+
     @_once
     def _offsets(self, k):
-        """{bidegree: offset} of each bidegree (p, k - p) inside total
-        degree k, in increasing p."""
-        out, offset = {}, 0
-        for p in range(k + 1):
+        """{bidegree: offset} of each bidegree (p, k - p) of the model's
+        range inside total degree k, in increasing p."""
+        out, offset, top = {}, 0, self.spec._top
+        for p in range(max(0, k - top), min(k, top) + 1):
             out[p, k - p] = offset
             offset += len(self.basis(p, k - p))
         return out
@@ -318,7 +331,9 @@ class HodgeEngine:
     @_once
     def _scalar_weights(self, degree):
         """(w, 1/w, -w), three lists over the degree's basis, as
-        scalars."""
+        scalars; under the default metric, with no monomial read."""
+        if not self.ip.weights:
+            return tuple([c] * len(self.basis(*degree)) for c in _UNIT_SCALARS)
         scalars = [self.ip.scalars(m) for m in self.basis(*degree)]
         return tuple([t[k] for t in scalars] for k in range(3))
 
@@ -345,7 +360,7 @@ class HodgeEngine:
     def _product_plan(self, da, db):
         """(keys of da, signed keys of db, key index of da + db, da + db):
         what `wedge_row` reads, nothing stored per product."""
-        total = tuple(map(add, da, db))
+        total = _add(da, db)
         return (self._keyed(*da)[1], self._signed_keys(*db),
                 self._key_index(*total), total)
 
@@ -353,7 +368,9 @@ class HodgeEngine:
         """The wedge of the sparse row a at degree da and the sparse row
         b at degree db, as a sparse row at degree da + db, multiplied on
         keys (see model._masks).  A product outside that degree's basis
-        is a ModelError, as in `row`."""
+        is a ModelError, as in `row`.  An empty operand builds nothing."""
+        if not a or not b:
+            return {}
         xs, ys, index, total = self._product_plan(da, db)
         lift, guard = self.spec._lift, self.spec._guard
         out = {}
@@ -391,7 +408,12 @@ class HodgeEngine:
 
     @_once
     def matrix(self, op, *degree):
-        """Matrix of op (a SHIFT key) from degree into degree + shift."""
+        """Matrix of op (a SHIFT key) from degree into degree + shift;
+        empty, with nothing else built, if either is outside the model."""
+        target = _add(degree, SHIFT[op])
+        if not (self._inside(degree) and self._inside(target)):
+            return Matrix(*[len(self.basis(*d)) if self._inside(d) else 0
+                            for d in (target, degree)])
         if op == "ddbar":
             p, q = degree
             return self.matrix("del", p, q + 1).matmul(
@@ -401,16 +423,14 @@ class HodgeEngine:
             return self._placed(k + 1, k, [
                 ((p + dp, q + dq), (p, q), self.matrix(which, p, q))
                 for p, q in self._offsets(k) for which, (dp, dq) in D_PARTS])
-        src, keys = self._keyed(*degree)
-        index = self._key_index(*(a + b for a, b in zip(degree, SHIFT[op])))
-        mat = Matrix(len(index), len(src))
-        for j, image in enumerate(_leibniz(self.spec, op, keys)):
-            for key, c in image.items():
-                i = index.get(key)
-                if i is None:
-                    raise AssemblyError("%s image leaves the subcomplex at %s"
-                                        % (op, src[j]))
-                mat.data[i][j] = c
+        targets = self._keyed(*target)[1]
+        mat = Matrix(len(targets), len(self.basis(*degree)))
+        rows = defaultdict(dict, zip(targets, mat.data))
+        _leibniz(self.spec, op, self._keyed(*degree)[1], rows)
+        leaving = [t for t in list(rows)[len(targets):] if rows[t]]
+        if leaving:
+            raise AssemblyError("%s image leaves the subcomplex at %s"
+                                % (op, self.spec._monomial(leaving[0])))
         return mat
 
     def ddbar_matrix(self, p, q):
@@ -418,15 +438,14 @@ class HodgeEngine:
         return self.matrix("ddbar", p, q)
 
     def _placed(self, rows, cols, blocks):
-        """The matrix from total degree cols to total degree rows with
-        the bidegree matrices of blocks, each (row bidegree, column
-        bidegree, matrix), placed at their offsets and nothing computed:
-        the total-degree artifacts of d are those of del and dbar placed
-        side by side, as del and dbar land in different bidegrees."""
+        """The matrix from total degree cols to rows with the blocks (row
+        bidegree, column bidegree, matrix) placed at their offsets: del
+        and dbar land in different bidegrees, so d's artifacts are theirs
+        side by side.  A block into a degree outside the model has no rows."""
         mat = Matrix(len(self.basis(rows)), len(self.basis(cols)))
         row_at, col_at = self._offsets(rows), self._offsets(cols)
         for target, source, block in blocks:
-            row, col = row_at[target], col_at[source]
+            row, col = row_at.get(target), col_at[source]
             for i, entries in enumerate(block.data):
                 out = mat.data[row + i]
                 for j, a in entries.items():
@@ -600,6 +619,8 @@ class HodgeEngine:
         read as it stands.
         """
         ops = _theory(theory)
+        if not self._inside(degree):
+            return HarmonicBasis(theory, degree, {}, self.spec, [])
         closed = self._rref(ops.closed, degree)
         by_star, by_adjoint = [], []
         for op in ops.exact:
@@ -615,8 +636,8 @@ class HodgeEngine:
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
-        return HarmonicBasis(theory, degree if len(degree) > 1 else degree[0],
-                             rref, self.spec, self.basis(*degree))
+        return HarmonicBasis(theory, degree, rref, self.spec,
+                             self.basis(*degree))
 
     def de_rham_harmonic(self, k):
         return self.harmonic_space("de_rham", k)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import defaultdict, namedtuple
 
-from .calculus import SHIFT, AssemblyError
+from .calculus import SHIFT, AssemblyError, _add
 from .linalg import Echelon, Subspace
 from .model import _once
 
@@ -114,10 +114,6 @@ class _Spaces:
 def _grading(name):
     """The theory whose grading the named space follows."""
     return "aeppli" if name == "abc" else name
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _generator_set(spaces, sweep):

@@ -136,10 +136,10 @@ def triple_abc_massey(engine, alpha, beta, gamma,
                 + [engine.wedge_row(zeta, fab, rows[2], dc)
                    for zeta in engine.harmonic_space(
                        "aeppli", *fab).space.rows])
-    indet = Subspace._from_rows(len(cls), [
-        linalg._sparse(engine.class_row("aeppli", row, *bid)[0])
-        for row in products if row])
-    nonzero = not indet.contains_row(linalg._sparse(cls))
+    own, *spanning = [{j: c for j, c in enumerate(x) if c} for x in [cls] + [
+        engine.class_row("aeppli", row, *bid)[0] for row in products if row]]
+    indet = Subspace._from_rows(len(cls), spanning)
+    nonzero = not indet.contains_row(own)
     return MasseyVerdict(engine.form(rep, *bid),
                          engine.form(projection, *bid),
                          cls, indet, nonzero, bid)

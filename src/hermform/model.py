@@ -159,6 +159,7 @@ class ModelSpec:
                 raise ModelError("self-conjugate generator %s needs p = q"
                                  % g.name)
         vol = self.basis(self.n, self.n)
+        self._top = max(map(max, self._all_monomials()))
         if len(vol) != 1:
             raise ModelError("bidegree (%d,%d) space has dimension %d, not 1"
                              % (self.n, self.n, len(vol)))
@@ -263,31 +264,33 @@ class ModelSpec:
 
     @_once
     def _derivation_plan(self, op):
-        """The differential op as a Leibniz rule on monomial keys: per term
-        c*t of the image of a generator g_i, (field, shift, delta + lift,
-        move, c, -c).  A key k holds g_i iff k & field, and then g_i's
-        exponent is (k & field) >> shift if it may exceed 1 (shift None
-        otherwise).  The term maps k to k + delta, delta = key(t) -
-        key(g_i), a product of keys (see _masks) that survives iff
+        """The differential op as a Leibniz rule on monomial keys: the
+        union of the fields and, per generator g_i with an image, (field,
+        shift, terms).  A key k holds g_i iff k & field, with exponent
+        (k & field) >> shift.  A term c*t is (delta + lift, delta, move,
+        c, -c): it maps k to k + delta, delta = key(t) - key(g_i), a
+        product of keys (see _masks) that survives iff
         (k + delta + lift) & guard is 0.  Its sign is the parity of
         k & move: g_i passes the odd factors before it, and each odd
         factor of t those between it and g_i, joined by xor."""
         layout = self._layout
         odd = [self._odd & mask << shift for shift, mask, _ in layout]
-        plan = []
+        groups = []
         for i, g in enumerate(self.generators):
             shift, mask, _ = layout[i]
-            if not mask:
+            image = self.differentials[op].get(g.name)
+            if not mask or not image:
                 continue            # truncation 1: g_i is in no monomial
-            for mono, c in self.differentials[op].get(g.name, {}).items():
+            terms = []
+            for mono, c in image.items():
                 move = sum(odd[:i])
                 for k, e in enumerate(mono):
                     if e and odd[k]:
                         move ^= sum(odd[k + 1:i] if k < i else odd[i + 1:k])
-                plan.append((mask << shift, shift if mask > 1 else None,
-                             self._key(mono) - (1 << shift) + self._lift,
-                             move, c, -c))
-        return plan
+                delta = self._key(mono) - (1 << shift)
+                terms.append((delta + self._lift, delta, move, c, -c))
+            groups.append((mask << shift, shift, terms))
+        return sum(field for field, _, _ in groups), groups
 
     # -- form constructors --------------------------------------------
 

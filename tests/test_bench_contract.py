@@ -25,3 +25,33 @@ def test_bench_selftest_passes():
 def test_bench_tracer_installs():
     done = _python("-c", "import spans; spans.install(spans.Tracer())")
     assert done.returncode == 0, done.stderr
+
+
+# Two rounds of the seed-1 massey workload under the tracer, as
+# `run.py --trace 1` runs them; prints the counts that differ.
+TWO_TRACED_ROUNDS = """
+import run, spans, workloads
+tracer = spans.Tracer()
+spans.install(tracer)
+workload = workloads.WORKLOADS["massey"](1)
+counts = []
+for _ in range(2):
+    done = run.Round(workload, tracer)
+    assert not done.failed and not done.failures, done.failures
+    counts.append(tracer.summary()[0])
+    tracer.new_round()
+first, second = counts
+print(sorted((k, first.get(k), second.get(k)) for k in set(first) | set(second)
+             if first.get(k) != second.get(k)))
+"""
+
+
+def test_traced_massey_rounds_count_the_same_work():
+    """A traced round counts the same work as the one before it.  The
+    first round's warm ops draw their inputs untraced, building artifacts
+    that later rounds then build traced; an artifact that builds others
+    inside it on one path and not on the other makes the counts differ,
+    and the bench reads the run as incorrect."""
+    done = _python("-c", TWO_TRACED_ROUNDS)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -440,11 +440,13 @@ def _leibniz_reference(spec, images, form):
 
 def _assert_matrices_match_reference(engine):
     """Column j of each del/dbar matrix is the derivation of basis
-    monomial j as _leibniz_reference computes it on Forms."""
+    monomial j as _leibniz_reference computes it on Forms, and each row
+    lists its entries in increasing column."""
     spec = engine.spec
     for bid in engine.degrees("dolbeault"):
         for which in ("del", "dbar"):
             mat = engine.matrix(which, *bid)
+            assert all(list(row) == sorted(row) for row in mat.data)
             target = engine.basis(*(a + b for a, b in zip(bid, SHIFT[which])))
             for j, mono in enumerate(engine.basis(*bid)):
                 image = _leibniz_reference(spec, spec.differentials[which],
@@ -544,7 +546,9 @@ def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
     and the star column map once per bidegree, though several ops read
     it.  Every total-degree artifact of d, its matrix, adjoint and star
     block, is placed from bidegree blocks: no d block is built entry by
-    entry and no total degree gets a star column map."""
+    entry and no total degree gets a star column map.  The one exception
+    is d out of the top degree 2n, into a degree outside the model: an
+    empty block, built from nothing."""
     matrix_builds, star_builds, adjoint_builds, column_builds = (
         Counter(), Counter(), Counter(), Counter())
     weighted_adjoint = HodgeEngine._weighted_adjoint
@@ -579,7 +583,10 @@ def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
                                   if op != "d"}
     assert all(len(degree) == 2 for degree, in column_builds)
     memo = engine._memo
-    d_artifacts = ([m for (op, *_), m in memo["matrix"].items() if op == "d"]
+    top = 2 * engine.spec.n
+    assert memo["matrix"]["d", top].rows == 0
+    d_artifacts = ([m for (op, *k), m in memo["matrix"].items()
+                    if op == "d" and k < [top]]
                    + [m for (op, *k), m in memo["adjoint_matrix"].items()
                       if op == "d" and k > [0]]
                    + [m for (op, _), m in memo["_after_star"].items()
@@ -1035,3 +1042,20 @@ def test_cohomology_table_shape():
     assert doc["betti"] == [1, 4, 6, 4, 1]
     assert doc["h_dbar"][1][1] == 4
     assert doc["n"] == 2
+
+
+def test_default_metric_reads_no_weight(monkeypatch):
+    """Under the default metric every weight is the unit, so harmonic
+    spaces read no monomial's weight: the unit (w, 1/w, -w) lists hold
+    the shared ONE and MINUS_ONE."""
+    def refused(self, mono):
+        raise AssertionError("weight read for %s" % (mono,))
+    monkeypatch.setattr(InnerProduct, "scalars", refused)
+    engine = HodgeEngine(load("iwasawa"))
+    for theory in THEORY:
+        for degree in engine.degrees(theory):
+            engine.harmonic_space(theory, *degree)
+    w, inverse, negated = engine._scalar_weights((1, 1))
+    assert len(w) == len(engine.basis(1, 1))
+    assert all(a is ONE for a in w + inverse)
+    assert all(a is MINUS_ONE for a in negated)

@@ -437,3 +437,30 @@ def test_engines_on_two_loads_of_a_model_do_the_same_work():
     first, second = out.splitlines()
     assert first == second
     assert min(map(int, first.split())) > 0
+
+
+def test_cold_product_builds_nothing_outside_the_model():
+    """Every appendix beta and gamma is a product of q's, so the potential
+    of beta^gamma sits at p = -1, where no monomial lies: a cold V.10
+    product leaves no matrix, basis or key index at a bidegree outside
+    0..n in the engine."""
+    alpha, beta, gamma, _, engine = massey_case("V.10")
+    engine = HodgeEngine(engine.spec)
+    assert triple_abc_massey(engine, alpha, beta, gamma).nonzero
+    n = engine.spec.n
+    built = ([key[1:] for key in engine._memo["matrix"]]
+             + list(engine._memo["_keyed"]) + list(engine._memo["_key_index"]))
+    bidegrees = [d for d in built if len(d) == 2]
+    assert bidegrees and all(0 <= a <= n for d in bidegrees for a in d)
+
+
+def test_massey_classes_stay_sparse(monkeypatch):
+    """The class and the indeterminacy are read off class_row's
+    coefficients as they are: no dense vector is made sparse again."""
+    alpha, beta, gamma, _, engine = massey_case("IV.3")
+    engine = HodgeEngine(engine.spec)
+
+    def refused(v):
+        raise AssertionError("dense round trip")
+    monkeypatch.setattr(linalg, "_sparse", refused)
+    assert triple_abc_massey(engine, alpha, beta, gamma).nonzero
