@@ -15,10 +15,10 @@ blocks placed at their offsets, with no entry computed again.  A
 harmonic space keeps its cross-checked RREF, which gives its dimension;
 its kernel is row-reduced only when read.
 
-Assembly writes each del/dbar entry straight into its row in one pass
-over the source keys, and nothing is built at a degree outside the
-model's range.  Positions are found through integer keys (model._masks),
-one key index per degree; `wedge_row` multiplies rows by key arithmetic.
+The model is valid once built, so an engine checks it no more.  Its
+Leibniz routine, apply_derivation and AssemblyError live in model, read
+here too: assembly writes each del/dbar entry into its row, nothing at a
+degree outside 0..n.  Positions are integer keys, one index per degree.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import Matrix
-from .model import Form, ModelError, _once
+from .model import (AssemblyError, Form, ModelError, _leibniz, _once,
+                    apply_derivation)
 from .scalars import GaussianRational, MINUS_ONE, ONE
 
 THEORIES = ("dolbeault", "conj_dolbeault", "bott_chern", "aeppli")
@@ -85,54 +86,8 @@ def _outside(degree):
     return ModelError("form outside the %s subcomplex basis" % _label(degree))
 
 
-class AssemblyError(ModelError):
-    """d^2 != 0 or a non-restricting differential."""
-
-
 class NotClosedError(ValueError):
     """Input form violates the closedness precondition of a theory."""
-
-
-def apply_derivation(spec, op, form):
-    """The differential op ("del" or "dbar") of the model on a form: its
-    images of generators extended as a graded derivation.  A monomial
-    past a truncation is 0 in the algebra, and so is its image."""
-    terms = {spec._key(m): c for m, c in form.components.items()}
-    terms.pop(None, None)
-    rows = defaultdict(dict)
-    _leibniz(spec, op, list(terms), rows)
-    images = [{} for _ in terms]
-    for t, row in rows.items():
-        for j, c in row.items():
-            images[j][spec._monomial(t)] = c
-    return Form(spec, linalg._combine(enumerate(terms.values()), images))
-
-
-def _leibniz(spec, op, keys, rows):
-    """Write the derivation op of the monomials with the given keys into
-    rows {target key: row} by the model's plan (see _derivation_plan):
-    row t at j is t's coefficient in the image of keys[j], so j increases
-    in each row; a key with no field of the plan costs one AND.  rows is
-    a defaultdict(dict), so a target with no row gets one."""
-    guard = spec._guard
-    active, groups = spec._derivation_plan(op)
-    for j, k in [(j, k) for j, k in enumerate(keys) if k & active]:
-        for field, shift, terms in groups:
-            if not k & field:
-                continue
-            e = (k & field) >> shift
-            for lifted, delta, move, c, neg in terms:
-                if (k + lifted) & guard:
-                    continue
-                v = neg if (k & move).bit_count() & 1 else c
-                if e != 1:
-                    v = v * e
-                row = rows[k + delta]
-                if j in row:  # the row's last entry: it stays last
-                    v = row.pop(j) + v
-                    if not v:
-                        continue
-                row[j] = v
 
 
 _UNIT_WEIGHT = Fraction(1)
@@ -273,7 +228,6 @@ class HodgeEngine:
         self._memo = defaultdict(dict)
         if monomial_filter is not None and not monomial_filter(spec.volume_monomial):
             raise AssemblyError("volume monomial is outside the subcomplex")
-        self._validate_squares()
 
     # -- bases ---------------------------------------------------------
 
@@ -311,16 +265,16 @@ class HodgeEngine:
         return [d for d in candidates if self.basis(*d)]
 
     def _inside(self, degree):
-        """Whether each part is in 0..top, the model's largest (2 top in k)."""
-        top = self.spec._top * (3 - len(degree))
-        return 0 <= min(degree) and max(degree) <= top
+        """Whether each part is in 0..n (0..2n for a total degree)."""
+        return 0 <= min(degree) and max(degree) <= self.spec.n * (
+            3 - len(degree))
 
     @_once
     def _offsets(self, k):
         """{bidegree: offset} of each bidegree (p, k - p) of the model's
         range inside total degree k, in increasing p."""
-        out, offset, top = {}, 0, self.spec._top
-        for p in range(max(0, k - top), min(k, top) + 1):
+        out, offset, n = {}, 0, self.spec.n
+        for p in range(max(0, k - n), min(k, n) + 1):
             out[p, k - p] = offset
             offset += len(self.basis(p, k - p))
         return out
@@ -338,9 +292,10 @@ class HodgeEngine:
         return tuple([t[k] for t in scalars] for k in range(3))
 
     def row(self, components, *degree):
-        """Coefficients {monomial: scalar} on the degree's basis as a
-        sparse row {position: scalar}."""
-        index, key = self._key_index(*degree), self.spec._key
+        """Coefficients {monomial: scalar} on the degree's basis, empty
+        outside the model, as a sparse row {position: scalar}."""
+        index = self._key_index(*degree) if self._inside(degree) else {}
+        key = self.spec._key
         try:
             return {index[key(m)]: c for m, c in components.items()}
         except KeyError:
@@ -518,22 +473,6 @@ class HodgeEngine:
         echelon.extend(self.matrix(ops[-1], *degree).data)
         return echelon
 
-    def _validate_squares(self):
-        spec = self.spec
-        for g in spec.generators:
-            f = spec.gen(g.name)
-            de, db = (apply_derivation(spec, op, f) for op in ("del", "dbar"))
-            for label, value in (
-                    ("del^2", apply_derivation(spec, "del", de)),
-                    ("dbar^2", apply_derivation(spec, "dbar", db)),
-                    ("del dbar + dbar del",
-                     apply_derivation(spec, "del", db)
-                     + apply_derivation(spec, "dbar", de))):
-                if not value.is_zero():
-                    raise AssemblyError(
-                        "%s != 0 on generator %s (bidegree %s): %s"
-                        % (label, g.name, g.bidegree, value.pretty(True)))
-
     # -- star ----------------------------------------------------------
 
     def star(self, form):
@@ -590,7 +529,7 @@ class HodgeEngine:
             return self._placed(2 * n - degree[0] + 1, degree[0], [
                 ((n - p + dp, n - q + dq), (p, q),
                  self._after_star(which, (p, q)))
-                for p, q in self._offsets(degree[0]) if p <= n and q <= n
+                for p, q in self._offsets(degree[0])
                 for which, (dp, dq) in D_PARTS])
         source, const = self._star_columns(degree)
         fwd = self.matrix(op, *self._dual(degree))
@@ -633,6 +572,10 @@ class HodgeEngine:
             adjoint.extend(by_adjoint)
             rref = star.view()
             if rref != adjoint.view():
+                # X* = +-star X star is Stokes' theorem: d = 0 on 2n-1
+                if not self.matrix("d", 2 * self.spec.n - 1).is_zero():
+                    raise ModelError("model %s is not unimodular: d != 0 on "
+                                     "degree 2n-1" % self.spec.name)
                 raise AssemblyError(
                     "star-based and adjoint-based %s harmonic spaces "
                     "disagree at %s" % (theory, _label(degree)))
@@ -715,16 +658,11 @@ class HodgeEngine:
 
     def cohomology_table(self):
         n = self.spec.n
-        h_dbar, h_del, h_bc, h_a = {}, {}, {}, {}
+        dims = {t: {} for t in THEORIES}
         for p in range(n + 1):
             for q in range(n + 1):
-                for table, theory in ((h_dbar, "dolbeault"),
-                                      (h_del, "conj_dolbeault"),
-                                      (h_bc, "bott_chern"),
-                                      (h_a, "aeppli")):
-                    d = self.cohomology_dim(theory, p, q)
-                    if d:
-                        table[(p, q)] = d
-        betti = [self.betti(k) for k in range(2 * n + 1)]
-        return CohomologyTable(self.spec.name, n, h_dbar, h_del, h_bc, h_a,
-                               betti)
+                for theory, table in dims.items():
+                    table[p, q] = self.cohomology_dim(theory, p, q)
+        return CohomologyTable(self.spec.name, n, *(
+            {b: d for b, d in dims[t].items() if d} for t in THEORIES),
+            [self.betti(k) for k in range(2 * n + 1)])

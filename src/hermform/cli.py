@@ -2,7 +2,9 @@
 
 Exit status: 0 = computed; 1 = user error (one of the classes in
 USER_ERRORS); 2 = broken internal invariant or any other internal fault,
-reported as one line on stderr.  HERMFORM_ASCII=1 forces ASCII output.
+reported as one line on stderr.  A model is checked when it is built, so
+d^2 != 0 is a DslError naming a --file, and an AssemblyError (exit 2) in
+a catalog model.  HERMFORM_ASCII=1 forces ASCII output.
 """
 
 from __future__ import annotations
@@ -84,18 +86,8 @@ def _engine(args):
                            % (args.verb, ", not both" if args.model else ""))
     params = catalog.parse_parameters(args.param)
     if args.file:
-        return _file_engine(args.file, params)
+        return HodgeEngine(dsl.parse_file(args.file, params))
     return catalog.engine(args.model, params)
-
-
-def _file_engine(path, params):
-    """The engine of a DSL file.  Building it checks d^2 = 0, and a file
-    that fails is the user's error: a DslError that names the file."""
-    spec = dsl.parse_file(path, params)
-    try:
-        return HodgeEngine(spec)
-    except AssemblyError as e:
-        raise DslError("%s: %s" % (path, e)) from None
 
 
 # -- verbs -------------------------------------------------------------
@@ -246,9 +238,7 @@ def cmd_obstruct(args, out):
 
 
 def cmd_parse(args, out):
-    params = catalog.parse_parameters(args.param)
-    spec = (_file_engine(args.file, params).spec if args.validate
-            else dsl.parse_file(args.file, params))
+    spec = dsl.parse_file(args.file, catalog.parse_parameters(args.param))
     out.write("ok: %s (n = %d, %d generators)\n"
               % (spec.name, spec.n, len(spec.generators)))
     return 0
@@ -301,7 +291,8 @@ def build_parser():
     p = sub.add_parser("parse", help="check a DSL file")
     common(p, model=False)
     p.add_argument("file")
-    p.add_argument("--validate", action="store_true")
+    p.add_argument("--validate", action="store_true",
+                   help="accepted, adds nothing: parse checks d^2 = 0")
     p.add_argument("--param", action="append",
                    help="parameter k=v (repeatable)")
     return ap

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 
-from .model import GeneratorSpec, ModelError, ModelSpec
+from .model import AssemblyError, GeneratorSpec, ModelError, ModelSpec
 from .scalars import (GaussianRational, ScalarLiteralError, parse_scalar,
                       signed_terms)
 
@@ -54,8 +54,9 @@ def _conj_name(name):
 
 
 class _Parser:
-    def __init__(self, text):
+    def __init__(self, text, path=None):
         self.lines = text.replace("\r\n", "\n").split("\n")
+        self.path = path        # the file's, named when d^2 != 0
         self.name = None
         self.n = None
         self.gens = []          # GeneratorSpec list
@@ -262,6 +263,8 @@ class _Parser:
                 put(del_a, cname, bpart.conjugate(), lineno)
         try:
             spec._set_differentials(del_a, dbar_a)
+        except AssemblyError as e:
+            raise DslError("%s: %s" % (self.path, e) if self.path else str(e))
         except ModelError as e:
             raise DslError(str(e))
         return spec
@@ -298,7 +301,7 @@ def read_text(path, error=DslError):
 
 
 def parse_file(path, parameters=None):
-    return parse(read_text(path), parameters)
+    return _Parser(read_text(path), path).run(parameters)
 
 
 # -- printer -----------------------------------------------------------

@@ -92,8 +92,9 @@ def _potential_row(engine, f, target, bid):
             row = engine.row(f.components, *src)
         except ModelError:
             row = None
-        if row is None or engine.matrix("ddbar", *src).mul_rows(
-                [row])[0] != target:
+        # a zero potential needs no block, which may lie outside the model
+        if row is None or (row and engine.matrix("ddbar", *src).mul_rows(
+                [row])[0]) != target:
             raise PotentialError("supplied potential fails its equation")
     return row
 

@@ -2,9 +2,11 @@
 
 A model is a finite list of generators with bidegrees, truncation
 exponents and a conjugation pairing, together with the values of the
-two differentials on generators.  Monomials are exponent vectors in
-declaration order; every sign in the engine is computed relative to
-that canonical order, so results are reproducible bit-for-bit.
+two differentials on generators, which the Leibniz rule here extends to
+forms (`apply_derivation`).  A ModelSpec that builds is a valid model:
+no monomial lies past the volume form, and d^2 = 0 (an AssemblyError).
+Monomials are exponent vectors in declaration order; every sign in the
+engine is computed relative to that order, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from functools import wraps
 from math import prod
 from operator import lshift, lt
 
-from .linalg import axpy
+from .linalg import _combine, axpy
 from .scalars import GaussianRational, MINUS_ONE, ONE
 
 __all__ = [
     "GeneratorSpec", "ModelSpec", "Form", "DiagonalAction",
-    "ModelError", "ModelMismatch",
+    "ModelError", "ModelMismatch", "AssemblyError", "apply_derivation",
 ]
 
 
@@ -56,6 +58,10 @@ class ModelError(ValueError):
 
 class ModelMismatch(ModelError):
     """Operands belong to different models."""
+
+
+class AssemblyError(ModelError):
+    """d^2 != 0 or a non-restricting differential."""
 
 
 class _Record:
@@ -158,8 +164,11 @@ class ModelSpec:
             if g.conjugate == g.name and p != q:
                 raise ModelError("self-conjugate generator %s needs p = q"
                                  % g.name)
+        past = [b for b in self.bidegrees() if max(b) > self.n]
+        if past:
+            raise ModelError("monomial %s at %s lies past the volume form" % (
+                self.pretty_monomial(self.basis(*past[0])[0]), past[0]))
         vol = self.basis(self.n, self.n)
-        self._top = max(map(max, self._all_monomials()))
         if len(vol) != 1:
             raise ModelError("bidegree (%d,%d) space has dimension %d, not 1"
                              % (self.n, self.n, len(vol)))
@@ -205,6 +214,21 @@ class ModelSpec:
                 raise ModelError(
                     "conjugation compatibility fails: dbar(%s) != conj(del %s)"
                     % (g.conjugate, g.name))
+        # the plans are read from these images: drop any built before
+        self._memo.pop("_derivation_plan", None)
+        for g in self.generators:
+            de, db = (apply_derivation(self, op, self.gen(g.name))
+                      for op in ("del", "dbar"))
+            for label, value in (
+                    ("del^2", apply_derivation(self, "del", de)),
+                    ("dbar^2", apply_derivation(self, "dbar", db)),
+                    ("del dbar + dbar del",
+                     apply_derivation(self, "del", db)
+                     + apply_derivation(self, "dbar", de))):
+                if not value.is_zero():
+                    raise AssemblyError(
+                        "%s != 0 on generator %s (bidegree %s): %s"
+                        % (label, g.name, g.bidegree, value.pretty(True)))
 
     # -- basic structure ----------------------------------------------
 
@@ -328,6 +352,48 @@ class ModelSpec:
     def __repr__(self):
         return "ModelSpec(%r, n=%d, %d generators)" % (
             self.name, self.n, len(self.generators))
+
+
+def apply_derivation(spec, op, form):
+    """The differential op ("del" or "dbar") of the model on a form: its
+    images of generators extended as a graded derivation.  A monomial
+    past a truncation is 0 in the algebra, and so is its image."""
+    terms = {spec._key(m): c for m, c in form.components.items()}
+    terms.pop(None, None)
+    rows = defaultdict(dict)
+    _leibniz(spec, op, list(terms), rows)
+    images = [{} for _ in terms]
+    for t, row in rows.items():
+        for j, c in row.items():
+            images[j][spec._monomial(t)] = c
+    return Form(spec, _combine(enumerate(terms.values()), images))
+
+
+def _leibniz(spec, op, keys, rows):
+    """Write the derivation op of the monomials with the given keys into
+    rows {target key: row} by the model's plan (see _derivation_plan):
+    row t at j is t's coefficient in the image of keys[j], so j increases
+    in each row; a key with no field of the plan costs one AND.  rows is
+    a defaultdict(dict), so a target with no row gets one."""
+    guard = spec._guard
+    active, groups = spec._derivation_plan(op)
+    for j, k in [(j, k) for j, k in enumerate(keys) if k & active]:
+        for field, shift, terms in groups:
+            if not k & field:
+                continue
+            e = (k & field) >> shift
+            for lifted, delta, move, c, neg in terms:
+                if (k + lifted) & guard:
+                    continue
+                v = neg if (k & move).bit_count() & 1 else c
+                if e != 1:
+                    v = v * e
+                row = rows[k + delta]
+                if j in row:  # the row's last entry: it stays last
+                    v = row.pop(j) + v
+                    if not v:
+                        continue
+                row[j] = v
 
 
 def _is_barred(g):

@@ -89,9 +89,8 @@ def test_d_squared_zero_everywhere():
 def test_assembly_rejects_d_squared_nonzero():
     # del p1 = p2 p3 with del p2 = p4 p5 gives del^2 p1 = p4 p5 p3 != 0
     from hermform.catalog import parallelisable
-    spec = parallelisable("bad2", 5, {1: [(1, 2, 3)], 2: [(1, 4, 5)]})
     with pytest.raises(AssemblyError):
-        HodgeEngine(spec)
+        parallelisable("bad2", 5, {1: [(1, 2, 3)], 2: [(1, 4, 5)]})
 
 
 def test_star_maps_to_complement_and_squares_to_sign():
@@ -463,25 +462,28 @@ def test_assembled_matrices_match_the_derivation(ident):
 
 
 # An even generator with a nonzero differential, so the Leibniz sum's
-# factor e·g^(e-1) shows: del(w^2) = 2 w y and dbar(w^2) = 2 w yb.
+# factor e·g^(e-1) shows: del(w^2) = 2 w del w and dbar(w^2) = 2 w dbar w.
+# w^2 p1 p2 q1 q2 is the volume form at (4,4).
 EVEN_DIFFERENTIAL = """\
-algebra ew dim 3
+algebra ew dim 4
 gen w : (1,1) even trunc 3 real
-gen y : (2,1) odd conj yb
-gen yb : (1,2) odd conj y
-del w = y
-dbar w = yb
+holo p1 p2
+del w = p1*p2*q1
+dbar w = p1*q1*q2
 """
 
 
 def test_derivation_of_an_even_power():
     engine = HodgeEngine(parse(EVEN_DIFFERENTIAL))
     spec = engine.spec
-    w, y, yb = spec.gen("w"), spec.gen("y"), spec.gen("yb")
+    w = spec.gen("w")
     two = GaussianRational(2)
-    assert apply_derivation(spec, "del", w.wedge(w)).equals(w.wedge(y) * two)
-    assert apply_derivation(spec, "dbar", w.wedge(w)).equals(
-        w.wedge(yb) * two)
+    for op in ("del", "dbar"):
+        assert apply_derivation(spec, op, w.wedge(w)).equals(
+            w.wedge(Form(spec, spec.differentials[op]["w"])) * two)
+    betti = [1, 4, 6, 6, 6, 6, 6, 4, 1]
+    assert [engine.betti(k) for k in range(9)] == betti
+    assert [engine.harmonic_space("de_rham", k).dim for k in range(9)] == betti
     _assert_matrices_match_reference(engine)
 
 

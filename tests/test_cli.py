@@ -553,6 +553,42 @@ def test_a_later_assembly_fault_on_a_file_still_exits_2(tmp_path,
     assert err == "internal invariant violated: harmonic routes disagree\n"
 
 
+def test_a_catalog_model_whose_d_squared_is_not_zero_exits_2(monkeypatch):
+    """A catalog model is the library's data, so its d^2 != 0, found when
+    the model is built, is a broken invariant."""
+    monkeypatch.setitem(catalog._NAKAMURA, "V.2",
+                        (5, {1: [(1, 2, 3)], 2: [(1, 4, 5)]}))
+    code, out, err = invoke(["cohomology", "--model", "nakamura:V.2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("internal invariant violated: del^2 != 0 on "
+                          "generator p1")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", (["parse"], ["cohomology", "--file"],
+                                  ["formality", "--file"]))
+def test_a_monomial_past_the_volume_form_is_a_user_error(tmp_path, argv):
+    """w^3 lies at (3,3), past the volume form w^2 at (2,2): the model is
+    refused when it is built, on every verb, and nothing is printed."""
+    path = _model_file(tmp_path, "algebra w dim 2\n"
+                                 "gen w : (1,1) even trunc 4 real\n")
+    assert invoke(argv + [path]) == (
+        1, "", "error: monomial w^3 at (3, 3) lies past the volume form\n")
+
+
+def test_a_harmonic_request_on_a_model_that_is_not_unimodular_exits_1(
+        tmp_path):
+    """d p2 = p1*p2 makes d of the (2n-1)-form p2*q1*q2 nonzero, so star
+    gives no adjoint there: the two harmonic routes disagree because of
+    the model, which is the user's error.  Its quotient tables exist."""
+    path = _model_file(tmp_path, "algebra nu dim 2\nholo p1 p2\n"
+                                 "d p2 = p1*p2\n")
+    code, out, err = invoke(["formality", "--file", path])
+    assert code == 1
+    assert err == "error: model nu is not unimodular: d != 0 on degree 2n-1\n"
+    assert invoke(["cohomology", "--file", path])[0] == 0
+
+
 def test_blanks_between_digits_in_a_file_are_a_user_error(tmp_path):
     """'1 2' is two terms side by side, not 12."""
     path = _model_file(tmp_path, "algebra x dim 2\nholo p1 p2\n"

@@ -454,6 +454,26 @@ def test_cold_product_builds_nothing_outside_the_model():
     assert bidegrees and all(0 <= a <= n for d in bidegrees for a in d)
 
 
+def test_warm_product_builds_nothing_outside_the_model():
+    """The same for a V.10 product given both potentials: f_bg is the
+    zero form at (-1, v), and it is checked with no block or index
+    built there."""
+    alpha, beta, gamma, _, engine = massey_case("V.10")
+    engine = HodgeEngine(engine.spec)
+    sign_ab = GaussianRational(-1 if sum(alpha.bidegree()) % 2 else 1)
+    sign_bg = GaussianRational(-1 if sum(beta.bidegree()) % 2 else 1)
+    f_ab = solve_potential(engine, alpha.wedge(beta) * sign_ab)
+    f_bg = solve_potential(engine, beta.wedge(gamma) * sign_bg)
+    assert f_bg.is_zero()
+    assert triple_abc_massey(engine, alpha, beta, gamma,
+                             f_ab=f_ab, f_bg=f_bg).nonzero
+    n = engine.spec.n
+    built = ([key[1:] for key in engine._memo["matrix"]]
+             + list(engine._memo["_keyed"]) + list(engine._memo["_key_index"]))
+    bidegrees = [d for d in built if len(d) == 2]
+    assert bidegrees and all(0 <= a <= n for d in bidegrees for a in d)
+
+
 def test_massey_classes_stay_sparse(monkeypatch):
     """The class and the indeterminacy are read off class_row's
     coefficients as they are: no dense vector is made sparse again."""

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermform import catalog, dsl, scalars
+from hermform import calculus, catalog, dsl, model, scalars
 from hermform.calculus import AssemblyError, HodgeEngine
 from hermform.catalog import calabi_eckmann, nakamura, torus
 from hermform.formality import check_all
@@ -170,6 +170,26 @@ def test_generator_validation_errors():
         ModelSpec("bad", 1, [
             GeneratorSpec("a", (1, 0), 2, "b"),
             GeneratorSpec("b", (0, 1), 2, "b")])
+
+
+def test_a_monomial_past_the_volume_form_is_refused():
+    """The volume form w^2 is at (2,2) and w^3 at (3,3) lies past it."""
+    with pytest.raises(ModelError,
+                       match=r"monomial w\^3 at \(3, 3\) lies past the"):
+        ModelSpec("w", 2, [GeneratorSpec("w", (1, 1), 4, "w")])
+
+
+def test_an_engine_does_not_check_its_model_again(monkeypatch):
+    """d^2 = 0 is checked once, when the model is built: an engine on a
+    built model runs no derivation, and assembles by the Leibniz plan."""
+    spec = catalog.load("nakamura:IV.3")
+    want = catalog.engine_for("nakamura:IV.3").cohomology_table().to_dict()
+
+    def refused(*args):
+        raise AssertionError("apply_derivation called")
+    monkeypatch.setattr(model, "apply_derivation", refused)
+    monkeypatch.setattr(calculus, "apply_derivation", refused)
+    assert HodgeEngine(spec).cohomology_table().to_dict() == want
 
 
 def test_assignment_validation():
