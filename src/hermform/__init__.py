@@ -3,8 +3,12 @@
 Computes Dolbeault / Bott-Chern / Aeppli / de Rham cohomology and
 harmonic spaces of finite bigraded algebra models over Q(i), decides
 geometric-formality notions, evaluates triple ABC-Massey products, and
-runs dimension-based obstruction tests.
+runs dimension-based obstruction tests.  `dsl` and `obstructions`,
+which no engine path reads, are imported on first use of one of their
+names (PEP 562).
 """
+
+from importlib import import_module
 
 from .scalars import GaussianRational, ScalarLiteralError, parse_scalar
 from .model import (DiagonalAction, Form, GeneratorSpec, ModelError,
@@ -16,11 +20,21 @@ from .formality import (UnknownNotionError, check_all, check_formality,
 from .massey import (MasseyVerdict, PotentialError, solve_potential,
                      triple_abc_massey, verify_appendix_case)
 from .catalog import CatalogError, load, load_with_action
-from .dsl import DslError, models_equal, parse, print_model
-from .obstructions import (DimTable, TableError, analyze, blowup_derham,
-                           blowup_bc_threefold_curve, torus_table)
 
 __version__ = "1.0.0"
+
+_LAZY = {name: module for module, names in (
+    ("dsl", "DslError models_equal parse print_model"),
+    ("obstructions", "DimTable TableError analyze blowup_derham "
+     "blowup_bc_threefold_curve torus_table")) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    return getattr(import_module("." + _LAZY[name], __name__), name)
+
 
 __all__ = [
     "GaussianRational", "ScalarLiteralError", "parse_scalar",
@@ -33,7 +47,4 @@ __all__ = [
     "MasseyVerdict", "PotentialError", "solve_potential",
     "triple_abc_massey", "verify_appendix_case",
     "CatalogError", "load", "load_with_action",
-    "DslError", "models_equal", "parse", "print_model",
-    "DimTable", "TableError", "analyze", "blowup_derham",
-    "blowup_bc_threefold_curve", "torus_table",
-]
+] + list(_LAZY)

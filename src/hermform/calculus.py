@@ -109,7 +109,7 @@ class InnerProduct:
         # which hash without the modular inverse a Fraction's hash costs
         shared = {(1, 1): _UNIT_SCALARS}
         for mono, w in (weights or {}).items():
-            w = Fraction(w)
+            w = w if type(w) is Fraction else Fraction(w)
             if w <= 0:
                 raise ModelError("inner-product weight must be positive")
             mono = tuple(mono)

@@ -1,16 +1,17 @@
 """Free bigraded-commutative algebras on declared generators.
 
-A model is a finite list of generators with bidegrees, truncation
-exponents and a conjugation pairing, together with the values of the
-two differentials on generators, which the Leibniz rule here extends to
-forms (`apply_derivation`).  A ModelSpec that builds is a valid model:
-no monomial lies past the volume form, and d^2 = 0 (an AssemblyError).
-Monomials are exponent vectors in declaration order; every sign in the
-engine is computed relative to that order, so results are reproducible.
+A model is a list of generators with bidegrees, truncations and a
+conjugation, and the differentials' values on generators, which the
+Leibniz rule extends to forms (`apply_derivation`).  A ModelSpec that
+builds is a valid model: no monomial lies past the volume form, and
+d^2 = 0 (an AssemblyError; four Leibniz passes check it).  Models of
+one generator signature share one read-only monomial table.  Monomials
+are exponent vectors in declaration order; every sign follows that order.
 """
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import defaultdict
 from functools import wraps
@@ -216,16 +217,26 @@ class ModelSpec:
                     % (g.conjugate, g.name))
         # the plans are read from these images: drop any built before
         self._memo.pop("_derivation_plan", None)
-        for g in self.generators:
-            de, db = (apply_derivation(self, op, self.gen(g.name))
-                      for op in ("del", "dbar"))
-            for label, value in (
-                    ("del^2", apply_derivation(self, "del", de)),
-                    ("dbar^2", apply_derivation(self, "dbar", db)),
-                    ("del dbar + dbar del",
-                     apply_derivation(self, "del", db)
-                     + apply_derivation(self, "dbar", de))):
-                if not value.is_zero():
+        self._check_squares()
+
+    def _check_squares(self):
+        """d^2 = 0 on each generator, by four Leibniz passes; a generator of
+        truncation 1 is 0 in the algebra: its key, None, is read as 0."""
+        keys = [self._key(*self.gen(g.name).components) or 0
+                for g in self.generators]
+        de, db = (_derive(self, op, keys) for op in ("del", "dbar"))
+        image = list(dict.fromkeys(t for col in de + db for t in col))
+        after = {(op, t): col for op in ("del", "dbar")
+                 for t, col in zip(image, _derive(self, op, image))}
+        for g, e, b in zip(self.generators, de, db):
+            for label, terms in (
+                    ("del^2", [("del", e)]), ("dbar^2", [("dbar", b)]),
+                    ("del dbar + dbar del", [("del", b), ("dbar", e)])):
+                value = _combine((((op, t), c) for op, col in terms
+                                  for t, c in col.items()), after)
+                if value:
+                    value = Form(self, {self._monomial(t): c
+                                        for t, c in value.items()})
                     raise AssemblyError(
                         "%s != 0 on generator %s (bidegree %s): %s"
                         % (label, g.name, g.bidegree, value.pretty(True)))
@@ -360,13 +371,20 @@ def apply_derivation(spec, op, form):
     past a truncation is 0 in the algebra, and so is its image."""
     terms = {spec._key(m): c for m, c in form.components.items()}
     terms.pop(None, None)
+    image = _combine(enumerate(terms.values()), _derive(spec, op, list(terms)))
+    return Form(spec, {spec._monomial(t): c for t, c in image.items()})
+
+
+def _derive(spec, op, keys):
+    """The derivation op of the monomial of each key, by one Leibniz
+    pass: a list of columns {target key: coefficient}."""
     rows = defaultdict(dict)
-    _leibniz(spec, op, list(terms), rows)
-    images = [{} for _ in terms]
+    _leibniz(spec, op, keys, rows)
+    columns = [{} for _ in keys]
     for t, row in rows.items():
         for j, c in row.items():
-            images[j][spec._monomial(t)] = c
-    return Form(spec, _combine(enumerate(terms.values()), images))
+            columns[j][t] = c
+    return columns
 
 
 def _leibniz(spec, op, keys, rows):
@@ -569,12 +587,25 @@ def _masks(generators, layout):
     return lift, guard, odd
 
 
+class _Table(dict):
+    __slots__ = ("__weakref__",)    # a weak reference can hold a table
+
+
+# The table of each signature, (bidegree, truncation) per generator, that
+# a model holds: keys depend only on truncations, bidegrees on bidegrees.
+_TABLES = weakref.WeakValueDictionary()
+
+
 def _monomial_table(generators):
     """{(p, q): (monomials, keys)}, the monomials of that bidegree in
-    lexicographic order and their keys in an array: the exponent vectors
-    are extended one generator at a time, carrying their bidegrees and
-    keys, and each prefix's extensions come in increasing exponent, so
-    every list is in order as built."""
+    lexicographic order and their keys in an array, shared read-only: the
+    exponent vectors are extended one generator at a time, carrying their
+    bidegrees and keys, and each prefix's extensions come in increasing
+    exponent, so every list is in order as built."""
+    signature = tuple((tuple(g.bidegree), g.truncation) for g in generators)
+    table = _TABLES.get(signature)
+    if table is not None:
+        return table
     monos = [((), 0, 0, 0)]
     for g, (shift, _, _) in zip(generators, _layout(generators)):
         a, b = g.bidegree
@@ -582,11 +613,9 @@ def _monomial_table(generators):
                  for e in range(g.truncation)]
         monos = [(m + s, p + dp, q + dq, key + dk)
                  for m, p, q, key in monos for s, dp, dq, dk in steps]
-    table = {}
+    table = _TABLES[signature] = _Table()
     for m, p, q, key in monos:
-        entry = table.get((p, q))
-        if entry is None:
-            entry = table[p, q] = [], array("q")
+        entry = table.setdefault((p, q), ([], array("q")))
         entry[0].append(m)
         entry[1].append(key)
     return table

@@ -55,3 +55,36 @@ def test_traced_massey_rounds_count_the_same_work():
     done = _python("-c", TWO_TRACED_ROUNDS)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# The seed-1 massey set-up, as `run.py --setup-probe` runs it, counting
+# monomial-table builds and apply_derivation calls.
+SETUP_WORK = """
+from hermform import calculus, model
+import workloads
+builds, derivations = [], []
+
+class Counted(model._Table):
+    __slots__ = ()
+
+    def __init__(self):
+        builds.append(1)
+
+def counted(*args):
+    derivations.append(1)
+    return derive(*args)
+
+derive = model.apply_derivation
+model._Table = Counted
+model.apply_derivation = calculus.apply_derivation = counted
+workloads.WORKLOADS["massey"](1).ops()
+print(len(builds), len(derivations))
+"""
+
+
+def test_massey_setup_builds_one_table_per_signature():
+    """The 36 models of a massey set-up have 6 generator signatures and
+    build 6 monomial tables; their d^2 checks apply no derivation."""
+    done = _python("-c", SETUP_WORK)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["6", "0"]

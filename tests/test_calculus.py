@@ -1038,6 +1038,28 @@ def test_inner_product_rejects_nonpositive_weight():
         InnerProduct({(0, 0): Fraction(-1)})
 
 
+@pytest.mark.parametrize("weight,error,message", [
+    (Fraction(-1), ModelError, "inner-product weight must be positive"),
+    (0, ModelError, "inner-product weight must be positive"),
+    ("x", ValueError, None),
+    (1j, TypeError, None),
+])
+def test_inner_product_refuses_as_before(weight, error, message):
+    """Nonpositive weights are the model's error; what Fraction refuses
+    is refused by Fraction."""
+    with pytest.raises(error) as caught:
+        InnerProduct({(0, 0): weight})
+    assert message is None or str(caught.value) == message
+
+
+def test_inner_product_keeps_a_fraction_weight_as_given():
+    w = Fraction(3, 2)
+    ip = InnerProduct({(1, 0): w, (0, 1): 2})
+    assert ip.weight((1, 0)) is w
+    assert ip.weight((0, 1)) == Fraction(2) and type(ip.weight((0, 1))) is (
+        Fraction)
+
+
 def test_cohomology_table_shape():
     table = engine_for("torus:2").cohomology_table()
     doc = table.to_dict()

@@ -1,5 +1,6 @@
 """Bigraded algebra structure: wedge, conjugation, actions."""
 
+import gc
 import random
 import weakref
 from collections import Counter
@@ -386,3 +387,166 @@ def test_released_spec_is_freed_by_reference_counting(no_cyclic_collector,
         return weakref.ref(spec)
 
     assert use()() is None
+
+
+# -- the d^2 check: four Leibniz passes against one derivation per form --
+
+CHECK_SQUARES = model.ModelSpec._check_squares
+
+
+def _reference_squares(spec):
+    """The d^2 check as one apply_derivation per operator and form, per
+    generator in declaration order: the first failure's message, or
+    None."""
+    derive = model.apply_derivation
+    for g in spec.generators:
+        de, db = (derive(spec, op, spec.gen(g.name)) for op in ("del", "dbar"))
+        for label, value in (
+                ("del^2", derive(spec, "del", de)),
+                ("dbar^2", derive(spec, "dbar", db)),
+                ("del dbar + dbar del",
+                 derive(spec, "del", db) + derive(spec, "dbar", de))):
+            if not value.is_zero():
+                return "%s != 0 on generator %s (bidegree %s): %s" % (
+                    label, g.name, g.bidegree, value.pretty(True))
+    return None
+
+
+def _batched_squares(spec):
+    try:
+        CHECK_SQUARES(spec)
+    except AssemblyError as e:
+        return str(e)
+    return None
+
+
+def _unchecked(monkeypatch, build):
+    """The model that build() returns, with the d^2 check left out."""
+    with monkeypatch.context() as m:
+        m.setattr(model.ModelSpec, "_check_squares", lambda self: None)
+        return build()
+
+
+def test_d_squared_check_accepts_every_default_instance_as_the_reference():
+    for ident, params in catalog.default_instances():
+        spec = catalog.load(ident, params)
+        assert _reference_squares(spec) is None, ident
+        assert _batched_squares(spec) is None, ident
+
+
+LATE = ("algebra late dim 5\ngen w : (1,1) even trunc 1 real\n"
+        "holo p1 p2 p3 p4 p5\ngen v : (2,2) even trunc 1 real\n"
+        "d p4 = p1*p2\nd p5 = p3*p4\n")
+MIXED = ("algebra mixed dim 4\nholo p1 p2 p3 p4\nd p2 = p3*q1\n"
+         "d p4 = p1*p2\n")
+# w is 0 in the algebra, so the nonzero dbar of its del image is never
+# read as a square
+ZERO_GENERATOR = ("algebra t dim 3\nholo p1 p2 p3\n"
+                  "gen w : (1,1) even trunc 1 real\nd p3 = p1*p2\n"
+                  "del w = p1*p2*q3\ndbar w = p3*q1*q2\n")
+
+
+@pytest.mark.parametrize("text,want", [
+    (LATE, "del^2 != 0 on generator p5 (bidegree (1, 0)): -p1*p2*p3"),
+    (MIXED, "del dbar + dbar del != 0 on generator p4 (bidegree (1, 0)): "
+            "-p1*p3*q1"),
+    (ZERO_GENERATOR, None),
+], ids=["later-generator", "anticommutator", "truncation-one-image"])
+def test_d_squared_check_matches_the_reference(monkeypatch, text, want):
+    """Failures on a later generator, past generators of truncation 1,
+    and in the dbar del term alone give the reference's message; the
+    image of a generator of truncation 1 is never checked."""
+    spec = _unchecked(monkeypatch, lambda: dsl.parse(text))
+    assert _reference_squares(spec) == _batched_squares(spec) == want
+    if want is None:
+        dsl.parse(text)
+    else:
+        with pytest.raises(dsl.DslError) as caught:
+            dsl.parse(text)
+        assert want in str(caught.value)
+
+
+def test_fuzzed_d_squared_check_matches_the_reference(monkeypatch):
+    """Random holomorphic generators with del and dbar parts: the
+    batched check accepts and refuses as the reference does, with the
+    same message, on each of the three squares."""
+    seen = Counter()
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              database=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(st.just(n), st.lists(
+        st.tuples(st.integers(1, n), st.integers(1, n), st.integers(1, n),
+                  st.booleans(), st.sampled_from(("1", "-1", "2i"))),
+        max_size=5))))
+    def check(drawn):
+        n, terms = drawn
+        lines = {}
+        for k, i, j, mixed, c in terms:
+            if not mixed and i == j:
+                continue
+            lines.setdefault(k, []).append(
+                "%s*p%d*%s%d" % (c, i, "q" if mixed else "p", j))
+        text = "algebra f dim %d\nholo %s\n" % (
+            n, " ".join("p%d" % k for k in range(1, n + 1))) + "".join(
+            "d p%d = %s\n" % (k, " + ".join(v)) for k, v in lines.items())
+        spec = _unchecked(monkeypatch, lambda: dsl.parse(text))
+        want = _reference_squares(spec)
+        assert _batched_squares(spec) == want, text
+        seen[want.split(" != ")[0] if want else None] += 1
+
+    check()
+    assert set(seen) == {None, "del^2", "dbar^2", "del dbar + dbar del"}, seen
+
+
+def test_d_squared_check_runs_four_leibniz_passes(monkeypatch):
+    """Building a model runs _leibniz four times: del and dbar on the
+    generators, then on the keys of their images."""
+    passes = []
+    leibniz = model._leibniz
+
+    def counted(*args):
+        passes.append(args[1])
+        return leibniz(*args)
+    monkeypatch.setattr(model, "_leibniz", counted)
+    for ident, params in catalog.default_instances():
+        passes.clear()
+        catalog.load(ident, params)
+        assert passes == ["del", "dbar", "del", "dbar"], ident
+
+
+# -- monomial tables: one per signature, alive while a model holds it --
+
+def test_models_of_one_signature_share_one_monomial_table():
+    held = [catalog.load(ident) for ident in (
+        "nakamura:V.4", "nakamura:V.10", "torus:5")]
+    assert len({id(spec._all_monomials()) for spec in held}) == 1
+    torus2, ce = catalog.load("torus:2"), catalog.load("ce:u=1,v=1")
+    # four generators of truncation 2 each, at different bidegrees
+    assert torus2._truncations == ce._truncations == (2, 2, 2, 2)
+    assert torus2._all_monomials() is not ce._all_monomials()
+    assert ce.basis(1, 1) == [(0, 0, 0, 1), (0, 0, 1, 0), (1, 1, 0, 0)]
+    assert len(torus2.basis(1, 1)) == 4
+
+
+def test_a_monomial_table_lives_while_a_model_holds_it(monkeypatch):
+    """A table is built once while a model of its signature is held, and
+    again once every holder is gone."""
+    builds = []
+
+    class Counted(model._Table):
+        __slots__ = ()
+
+        def __init__(self):
+            builds.append(1)
+    monkeypatch.setattr(model, "_Table", Counted)
+    # a signature that no other test holds
+    text = "algebra life dim 3\ngen w : (3,3) even trunc 2 real\n"
+    first, second = dsl.parse(text), dsl.parse(text)
+    assert len(builds) == 1
+    assert first._all_monomials() is second._all_monomials()
+    table = weakref.ref(first._all_monomials())
+    del first, second
+    gc.collect()
+    assert table() is None
+    assert dsl.parse(text).basis(3, 3) == [(1,)]
+    assert len(builds) == 2

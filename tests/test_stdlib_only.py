@@ -45,3 +45,32 @@ def test_import_loads_no_dataclasses():
                          env={**os.environ,
                               "PYTHONPATH": str(ROOT / "src")}).stdout
     assert out.split() == ["[]"]
+
+
+def test_import_loads_dsl_and_obstructions_on_first_use():
+    """`import hermform` in a fresh interpreter leaves dsl and
+    obstructions out; every name of __all__ still resolves, `import *`
+    binds them all, and an unknown name is an AttributeError."""
+    probe = "\n".join((
+        "import sys, hermform",
+        "lazy = {'hermform.dsl', 'hermform.obstructions'}",
+        "print(sorted(lazy & set(sys.modules)))",
+        "names = {}",
+        "exec('from hermform import *', names)",
+        "print(sorted(set(hermform.__all__) - set(names)))",
+        "print(all(getattr(hermform, name) is names[name]",
+        "          for name in hermform.__all__))",
+        "print(sorted(lazy & set(sys.modules)))",
+        "print(hermform.parse is sys.modules['hermform.dsl'].parse)",
+        "try:",
+        "    hermform.no_such_name",
+        "except AttributeError as e:",
+        "    print(e)",
+    ))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(ROOT / "src")}).stdout
+    assert out.splitlines() == [
+        "[]", "[]", "True", "['hermform.dsl', 'hermform.obstructions']",
+        "True", "module 'hermform' has no attribute 'no_such_name'"]
