@@ -180,17 +180,12 @@ class HarmonicBasis:
             self.theory, self.bidegree, self.dim)
 
 
-class CohomologyTable:
-    """Per-bidegree dimensions for all theories plus Betti numbers."""
+class CohomologyTable(namedtuple("CohomologyTable", [
+        "model_name", "n", "h_dbar", "h_del", "h_bc", "h_a", "betti"])):
+    """Per-bidegree dimensions for all theories plus Betti numbers; a
+    zero cell is left out of the h_* dicts."""
 
-    def __init__(self, model_name, n, h_dbar, h_del, h_bc, h_a, betti):
-        self.model_name = model_name
-        self.n = n
-        self.h_dbar = h_dbar
-        self.h_del = h_del
-        self.h_bc = h_bc
-        self.h_a = h_a
-        self.betti = betti
+    __slots__ = ()
 
     def to_dict(self):
         grid = lambda h: [[h.get((p, q), 0) for q in range(self.n + 1)]
@@ -480,13 +475,12 @@ class HodgeEngine:
         the monomial m goes to +-weight(m) times its complement, with
         the sign of m ^ complement = +-vol."""
         spec = self.spec
-        out = spec.zero()
+        out = {}    # the complement is one to one, so no two terms meet
         for mono, coeff in form.components.items():
             comp, negative = spec._complement_key(spec._key(mono))
             c = coeff.conjugate() * self.ip.scalars(mono)[0]
-            out = out + spec.monomial_form(spec._monomial(comp),
-                                           -c if negative else c)
-        return out
+            out[spec._monomial(comp)] = -c if negative else c
+        return Form(spec, out)
 
     def _dual(self, degree):
         """The degree that star maps the degree onto."""

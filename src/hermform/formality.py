@@ -2,7 +2,7 @@
 
 Each notion asks that wedge products of harmonic forms stay inside the
 relevant harmonic space.  SWEEPS records, per notion, the left factors
-L, the right factors R and the target space T; in every notion T = L.
+L and the right factors R; the target space T is L in every notion.
 Products of basis forms are taken as sparse coordinate rows, the
 harmonic spaces' own rows, through the engine's product table for each
 pair of degrees, and Forms are built only for a witness.
@@ -34,21 +34,20 @@ from .linalg import Echelon, Subspace
 from .model import _once
 
 # A notion holds when every product of a left basis form with a right
-# basis form lies in the target space.  A space is named by its theory,
-# or "abc" for the per-bidegree span ℋ_A + ℋ_BC; `equation` labels the
-# witness.
-Sweep = namedtuple("Sweep", ["left", "right", "target", "equation"])
+# basis form lies in the left space again.  A space is named by its
+# theory, or "abc" for the per-bidegree span ℋ_A + ℋ_BC; `equation`
+# labels the witness.
+Sweep = namedtuple("Sweep", ["left", "right", "equation"])
 
 SWEEPS = {
-    "geom_dolbeault": Sweep("dolbeault", "dolbeault", "dolbeault",
+    "geom_dolbeault": Sweep("dolbeault", "dolbeault",
                             "dolbeault-harmonicity"),
-    "geom_bott_chern": Sweep("bott_chern", "bott_chern", "bott_chern",
+    "geom_bott_chern": Sweep("bott_chern", "bott_chern",
                              "bott_chern-harmonicity"),
-    "geom_abc": Sweep("abc", "abc", "abc", "wedge-closure of H_A + H_BC"),
-    "geom_aeppli": Sweep("aeppli", "bott_chern", "aeppli",
+    "geom_abc": Sweep("abc", "abc", "wedge-closure of H_A + H_BC"),
+    "geom_aeppli": Sweep("aeppli", "bott_chern",
                          "aeppli-harmonicity of H_A * H_BC"),
-    "geom_de_rham": Sweep("de_rham", "de_rham", "de_rham",
-                          "de-rham-harmonicity"),
+    "geom_de_rham": Sweep("de_rham", "de_rham", "de-rham-harmonicity"),
 }
 
 NOTIONS = tuple(SWEEPS)
@@ -61,16 +60,8 @@ class UnknownNotionError(ValueError):
     """A formality notion outside SWEEPS."""
 
 
-class Witness:
-    """A violating pair: wedge of the two forms breaks `equation`."""
-
-    __slots__ = ("left", "right", "equation", "product")
-
-    def __init__(self, left, right, equation, product):
-        self.left = left
-        self.right = right
-        self.equation = equation
-        self.product = product
+# A violating pair: the wedge `product` of the two forms breaks `equation`.
+Witness = namedtuple("Witness", ["left", "right", "equation", "product"])
 
 
 class FormalityReport:
@@ -122,7 +113,7 @@ def _generator_set(spaces, sweep):
     RREF rows of the right space) pairs; False when a product of (i)
     leaves the target; None when degree 0 holds more than the unit."""
     engine = spaces.engine
-    degrees = engine.degrees(_grading(sweep.target))
+    degrees = engine.degrees(_grading(sweep.left))
     zero = (0,) * len(degrees[0])
     if engine.basis(*zero) != [(0,) * len(engine.spec.generators)]:
         return None, []
@@ -145,7 +136,7 @@ def _generator_set(spaces, sweep):
             # with L = R, 1·s = s lies in T already
             if total not in present or (same and other == zero):
                 continue
-            target = spaces.get(sweep.target, total).space
+            target = spaces.get(sweep.left, total).space
             span = spanned.get(total)
             for a in spaces.get(sweep.left, other).space.rows:
                 for s in gens:
@@ -168,7 +159,7 @@ def _first_violation(spaces, sweep):
     clean scan.  Degree pairs whose sum has no basis are skipped: every
     product there is zero."""
     engine = spaces.engine
-    degrees = engine.degrees(_grading(sweep.target))
+    degrees = engine.degrees(_grading(sweep.left))
     present = set(degrees)
     for left in degrees:
         for right in degrees:
@@ -181,7 +172,7 @@ def _first_violation(spaces, sweep):
                 for b in rights:
                     row = engine.wedge_row(a, left, b, right)
                     if row and not spaces.get(
-                            sweep.target, total).space.contains_row(row):
+                            sweep.left, total).space.contains_row(row):
                         return Witness(engine.form(a, *left),
                                        engine.form(b, *right),
                                        sweep.equation,

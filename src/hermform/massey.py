@@ -15,6 +15,8 @@ rows that the inputs' harmonicity test reads, and the potentials' rows.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import linalg
 from .calculus import NotClosedError
 from .linalg import Subspace
@@ -58,17 +60,12 @@ def solve_potential(engine, target):
                                   bid), p - 1, q - 1)
 
 
-class MasseyVerdict:
+class MasseyVerdict(namedtuple("MasseyVerdict", [
+        "representative", "harmonic_projection", "aeppli_class",
+        "indeterminacy", "nonzero", "bidegree"])):
     """Result of one triple product."""
 
-    def __init__(self, representative, harmonic_projection, aeppli_class,
-                 indeterminacy, nonzero, bidegree):
-        self.representative = representative
-        self.harmonic_projection = harmonic_projection
-        self.aeppli_class = aeppli_class
-        self.indeterminacy = indeterminacy
-        self.nonzero = nonzero
-        self.bidegree = bidegree
+    __slots__ = ()
 
     def __repr__(self):
         return "MasseyVerdict(nonzero=%s, bidegree=%s)" % (

@@ -4,16 +4,19 @@ A model is a list of generators with bidegrees, truncations and a
 conjugation, and the differentials' values on generators, which the
 Leibniz rule extends to forms (`apply_derivation`).  A ModelSpec that
 builds is a valid model: no monomial lies past the volume form, and
-d^2 = 0 (an AssemblyError; four Leibniz passes check it).  Models of
-one generator signature share one read-only monomial table.  Monomials
-are exponent vectors in declaration order; every sign follows that order.
+d^2 = 0 (an AssemblyError; four Leibniz passes check it).  A model
+memoises nothing: it builds its monomial table, shared read-only by the
+models of its generator signature, and its derivation plans as soon as
+their inputs are set.  Generators and actions are namedtuple records.
+Monomials are exponent vectors in declaration order; every sign follows
+that order.
 """
 
 from __future__ import annotations
 
 import weakref
 from array import array
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from functools import wraps
 from math import prod
 from operator import lshift, lt
@@ -65,49 +68,16 @@ class AssemblyError(ModelError):
     """d^2 != 0 or a non-restricting differential."""
 
 
-class _Record:
-    """An immutable record, equal, hashed and shown by its `_fields` in
-    order, as a frozen dataclass is."""
+class GeneratorSpec(namedtuple(
+        "GeneratorSpec", ["name", "bidegree", "truncation", "conjugate"])):
+    """A generator: name, bidegree (p, q), truncation (g^truncation = 0;
+    2 if odd) and its conjugate's name (itself allowed)."""
 
     __slots__ = ()
 
-    def _values(self):
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        return (self._values() == other._values()
-                if other.__class__ is self.__class__ else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    __delattr__ = __setattr__
-
-
-_set = object.__setattr__
-
-
-class GeneratorSpec(_Record):
-    """A generator: name, bidegree (p, q), truncation (g^truncation = 0;
-    2 if odd) and its conjugate's name (itself allowed).  `odd` is
-    derived from the bidegree once: products read it per generator."""
-
-    __slots__ = ("name", "bidegree", "truncation", "conjugate", "odd")
-    _fields = ("name", "bidegree", "truncation", "conjugate")
-
-    def __init__(self, name, bidegree, truncation, conjugate):
-        _set(self, "name", name)
-        _set(self, "bidegree", bidegree)
-        _set(self, "truncation", truncation)
-        _set(self, "conjugate", conjugate)
-        _set(self, "odd", (bidegree[0] + bidegree[1]) % 2 == 1)
+    @property
+    def odd(self):
+        return (self.bidegree[0] + self.bidegree[1]) % 2 == 1
 
 
 class ModelSpec:
@@ -128,7 +98,6 @@ class ModelSpec:
         if len(self.index) != len(self.generators):
             raise ModelError("duplicate generator names")
         self.parameters = dict(parameters or {})
-        self._memo = defaultdict(dict)
         self._layout = layout = _layout(self.generators)
         self._shifts = tuple(shift for shift, _, _ in layout)
         self._truncations = tuple(g.truncation for g in self.generators)
@@ -165,6 +134,12 @@ class ModelSpec:
             if g.conjugate == g.name and p != q:
                 raise ModelError("self-conjugate generator %s needs p = q"
                                  % g.name)
+        count = prod(g.truncation for g in self.generators)
+        if count > MAX_MONOMIALS:
+            raise ModelError(
+                "model has %d monomials, more than the limit of %d"
+                % (count, MAX_MONOMIALS))
+        self._table = _monomial_table(self.generators)
         past = [b for b in self.bidegrees() if max(b) > self.n]
         if past:
             raise ModelError("monomial %s at %s lies past the volume form" % (
@@ -177,9 +152,8 @@ class ModelSpec:
         self._volume_key = self._key(vol[0])
 
     def _set_differentials(self, del_images, dbar_images):
-        """Take the images of both differentials, as dicts or Forms, and
-        check them.  The derivation plans are built from them on first
-        read, so nothing reads one before this call."""
+        """Take the images of both differentials, as dicts or Forms,
+        build the derivation plans from them and check them."""
         self.differentials = {}
         for op, raw, (dp, dq) in (("del", del_images, (1, 0)),
                                   ("dbar", dbar_images, (0, 1))):
@@ -215,15 +189,13 @@ class ModelSpec:
                 raise ModelError(
                     "conjugation compatibility fails: dbar(%s) != conj(del %s)"
                     % (g.conjugate, g.name))
-        # the plans are read from these images: drop any built before
-        self._memo.pop("_derivation_plan", None)
+        self._plans = {op: self._derivation_plan(op) for op in ("del", "dbar")}
         self._check_squares()
 
     def _check_squares(self):
         """d^2 = 0 on each generator, by four Leibniz passes; a generator of
-        truncation 1 is 0 in the algebra: its key, None, is read as 0."""
-        keys = [self._key(*self.gen(g.name).components) or 0
-                for g in self.generators]
+        truncation 1 is 0 in the algebra and owns no field: its key is 0."""
+        keys = [1 << shift if mask else 0 for shift, mask, _ in self._layout]
         de, db = (_derive(self, op, keys) for op in ("del", "dbar"))
         image = list(dict.fromkeys(t for col in de + db for t in col))
         after = {(op, t): col for op in ("del", "dbar")
@@ -259,14 +231,8 @@ class ModelSpec:
         lexicographic order of exponent vectors."""
         return self._all_monomials().get((p, q), ([],))[0]
 
-    @_once
     def _all_monomials(self):
-        count = prod(g.truncation for g in self.generators)
-        if count > MAX_MONOMIALS:
-            raise ModelError(
-                "model has %d monomials, more than the limit of %d"
-                % (count, MAX_MONOMIALS))
-        return _monomial_table(self.generators)
+        return self._table
 
     def bidegrees(self):
         """All (p, q) with a nonempty monomial basis, sorted."""
@@ -297,7 +263,6 @@ class ModelSpec:
         y = self._volume_key - x
         return y, (x & self._sign_mask(y)).bit_count() & 1
 
-    @_once
     def _derivation_plan(self, op):
         """The differential op as a Leibniz rule on monomial keys: the
         union of the fields and, per generator g_i with an image, (field,
@@ -394,7 +359,7 @@ def _leibniz(spec, op, keys, rows):
     in each row; a key with no field of the plan costs one AND.  rows is
     a defaultdict(dict), so a target with no row gets one."""
     guard = spec._guard
-    active, groups = spec._derivation_plan(op)
+    active, groups = spec._plans[op]
     for j, k in [(j, k) for j, k in enumerate(keys) if k & active]:
         for field, shift, terms in groups:
             if not k & field:
@@ -664,14 +629,11 @@ def _conjugate_monomial(spec, mono):
     return tuple(out), (-1 if swaps % 2 else 1)
 
 
-class DiagonalAction(_Record):
-    """Diagonal action on generators by unit scalars (+-1, +-i)."""
+class DiagonalAction(namedtuple("DiagonalAction", ["weights"])):
+    """Diagonal action on generators by unit scalars (+-1, +-i): a
+    GaussianRational per generator, in declaration order."""
 
-    __slots__ = _fields = ("weights",)
-
-    def __init__(self, weights):
-        # a GaussianRational per generator, in declaration order
-        _set(self, "weights", weights)
+    __slots__ = ()
 
     @classmethod
     def from_map(cls, spec, mapping):

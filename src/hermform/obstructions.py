@@ -13,6 +13,7 @@ uses.)
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from math import comb
 
 
@@ -117,9 +118,13 @@ class DimTable:
 
     @classmethod
     def from_cohomology_table(cls, table):
-        """Adapter for calculus.CohomologyTable."""
-        return cls(table.n, dict(table.h_dbar), dict(table.h_bc),
-                   dict(table.h_a), dict(enumerate(table.betti)))
+        """Adapter for calculus.CohomologyTable, which leaves zero cells
+        out: every cell 0..n is filled, so a zero stays known."""
+        def full(h):
+            return {(p, q): h.get((p, q), 0) for p in range(table.n + 1)
+                    for q in range(table.n + 1)}
+        return cls(table.n, full(table.h_dbar), full(table.h_bc),
+                   full(table.h_a), dict(enumerate(table.betti)))
 
 
 def torus_table(n):
@@ -130,11 +135,12 @@ def torus_table(n):
     return DimTable(n, dict(h), dict(h), dict(h), betti)
 
 
-class ObstructionReport:
-    def __init__(self, verdicts, fired, skipped):
-        self.verdicts = verdicts   # notion -> "obstructed" | "not_..."
-        self.fired = fired         # list of dicts with notion/test text
-        self.skipped = skipped     # list of test names lacking data
+class ObstructionReport(namedtuple("ObstructionReport",
+                                   ["verdicts", "fired", "skipped"])):
+    """verdicts: notion -> "obstructed" | "not_..."; fired: dicts with
+    notion/test text; skipped: the names of the tests lacking data."""
+
+    __slots__ = ()
 
     def __repr__(self):
         return "ObstructionReport(%r)" % (self.verdicts,)

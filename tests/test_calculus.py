@@ -600,7 +600,7 @@ def test_star_and_adjoint_blocks_are_built_once(monkeypatch):
 def test_memoised_methods_give_back_what_they_built():
     """On a cold engine and model, a table, a Massey product and two
     formality sweeps call every method decorated with _once, of the
-    engine, its model and formality's spaces; a second call of each,
+    engine and formality's spaces; a second call of each,
     with every key it was called with, returns the object that the
     first call built."""
     from hermform import formality
@@ -616,7 +616,7 @@ def test_memoised_methods_give_back_what_they_built():
     spaces = formality._Spaces(engine)
     for notion in ("geom_abc", "geom_aeppli"):
         formality._first_violation(spaces, formality.SWEEPS[notion])
-    for obj in (spec, engine, spaces):
+    for obj in (engine, spaces):
         decorated = {name for name, attr in vars(type(obj)).items()
                      if hasattr(attr, "__wrapped__")}
         assert set(obj._memo) == decorated, type(obj)

@@ -550,3 +550,68 @@ def test_a_monomial_table_lives_while_a_model_holds_it(monkeypatch):
     assert table() is None
     assert dsl.parse(text).basis(3, 3) == [(1,)]
     assert len(builds) == 2
+
+
+# -- records: immutable values, shown and hashed by their fields -------
+
+def _records():
+    """One instance of each record, with its repr as it has always read."""
+    from hermform.massey import triple_abc_massey
+    from hermform.obstructions import analyze, torus_table
+
+    alpha, beta, gamma, _, engine = catalog.massey_case("III.3")
+    action = catalog.load_with_action("example1:invariant")[1]
+    return [
+        (GeneratorSpec("p1", (1, 0), 2, "q1"),
+         "GeneratorSpec(name='p1', bidegree=(1, 0), truncation=2, "
+         "conjugate='q1')"),
+        (action,
+         "DiagonalAction(weights=(GaussianRational('0', '1'), "
+         "GaussianRational('0', '1'), GaussianRational('-1', '0'), "
+         "GaussianRational('0', '-1'), GaussianRational('0', '-1'), "
+         "GaussianRational('-1', '0')))"),
+        (triple_abc_massey(engine, alpha, beta, gamma),
+         "MasseyVerdict(nonzero=True, bidegree=(1, 3))"),
+        (analyze(torus_table(2)),
+         "ObstructionReport({'geom_dolbeault': "
+         "'not_obstructed_by_these_tests', 'geom_bott_chern': "
+         "'not_obstructed_by_these_tests', 'geom_riemannian': "
+         "'not_obstructed_by_these_tests'})"),
+    ]
+
+
+def test_records_keep_their_reprs():
+    for record, text in _records():
+        assert repr(record) == text
+
+
+def test_records_refuse_to_change():
+    for record, _ in _records():
+        field = record._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = None
+
+
+def test_equal_generator_specs_and_actions_hash_equal(iwasawa):
+    a = GeneratorSpec("p1", (1, 0), 2, "q1")
+    b = GeneratorSpec("p1", (1, 0), 2, "q1")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != GeneratorSpec("p1", (1, 0), 2, "p1")
+    weights = {g.name: ONE for g in iwasawa.generators}
+    first, second = (DiagonalAction.from_map(iwasawa, weights)
+                     for _ in range(2))
+    assert first is not second and first == second
+    assert hash(first) == hash(second)
+    assert len({first, second, DiagonalAction.from_map(
+        iwasawa, dict(weights, p1=-1, q1=-1))}) == 2
+
+
+@pytest.mark.parametrize("bidegree, odd", (
+    ((0, 0), False), ((1, 0), True), ((0, 1), True), ((1, 1), False),
+    ((2, 1), True), ((2, 0), False), ((0, 3), True)))
+def test_odd_follows_the_bidegree(bidegree, odd):
+    assert GeneratorSpec("g", bidegree, 2, "g").odd is odd

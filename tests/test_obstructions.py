@@ -2,6 +2,7 @@
 
 import pytest
 
+from hermform.calculus import CohomologyTable
 from hermform.catalog import engine_for
 from hermform.obstructions import (DimTable, TableError, analyze,
                                    blowup_bc_threefold_curve,
@@ -139,3 +140,19 @@ def test_cells_out_of_range_are_refused(table):
     with pytest.raises(TableError, match="outside"):
         DimTable(1, **table)
 
+
+
+def test_adapter_keeps_a_zero_cell_known():
+    """A CohomologyTable leaves its zero cells out; the adapter fills them
+    in, so b_1 = 2 over an empty antidiagonal fires both Frölicher-type
+    tests instead of leaving them unchecked."""
+    h = {(0, 0): 1, (1, 1): 1}
+    t = DimTable.from_cohomology_table(
+        CohomologyTable("x", 1, h, h, h, h, [1, 2, 1]))
+    assert t.h_dbar == t.h_bc == t.h_a == {
+        (0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
+    report = analyze(t)
+    assert [f["test"] for f in report.fired] == [
+        "b_1 = 2 > 0 = sum h_dbar^{p,q}, p+q=1",
+        "2 b_1 = 4 > 0 = sum (h_bc + h_a), p+q=1"]
+    assert report.skipped == []
